@@ -13,7 +13,6 @@ from .model import (
     Atom,
     AtomNode,
     BasicConcept,
-    CensorTheory,
     ConceptInclusion,
     ConjunctiveQuery,
     Denial,
@@ -34,7 +33,6 @@ from .model import (
     const,
     exists,
     exists_inv,
-    normalize,
     var,
 )
 from .parser import (
@@ -63,7 +61,6 @@ from .reasoner import (
 from .censors import (
     AtomOrder,
     SizeGuardError,
-    censor_entails,
     enumerate_optimal_ga_censors,
     ib_entail,
     iar_repair,

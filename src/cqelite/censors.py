@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 from .model import (
     ABox,
     Atom,
-    CensorTheory,
     ConjunctiveQuery,
     Policy,
     SecretSet,
@@ -28,16 +26,15 @@ from .model import (
     atom_order_key,
 )
 from .reasoner import (
-    InconsistentOntologyError,
     _abox_relations,
     _entailed_unchecked,
-    _extend,
+    _homomorphisms,
+    _require_consistent,
     abox_closure,
     cq_entailed,
     denial_query,
     is_consistent,
     is_policy_consistent,
-    is_policy_loadable,
     perfect_ref,
 )
 
@@ -58,9 +55,16 @@ class SizeGuardError(Exception):
 
 def default_size_guard() -> int:
     env = os.environ.get("CQE_LIMIT")
-    if env:
-        return int(env)
-    return DEFAULT_SIZE_GUARD
+    if not env:
+        return DEFAULT_SIZE_GUARD
+    message = f"CQE_LIMIT must be an integer of at least 1, got {env!r}"
+    try:
+        limit = int(env)
+    except ValueError:
+        raise ValueError(message) from None
+    if limit < 1:
+        raise ValueError(message)
+    return limit
 
 
 @dataclass(frozen=True)
@@ -87,13 +91,6 @@ class AtomOrder:
         return list(self.atoms)
 
 
-def _require_preconditions(tbox: TBox, policy: Policy, abox: ABox) -> None:
-    if not is_consistent(tbox, abox):
-        raise InconsistentOntologyError("TBox and ABox are inconsistent")
-    if not is_policy_loadable(tbox, policy):
-        raise InconsistentOntologyError("TBox and policy are inconsistent")
-
-
 def _keeps_policy(tbox: TBox, policy: Policy, atoms: frozenset[Atom]) -> bool:
     candidate = ABox(atoms)
     return is_consistent(tbox, candidate) and is_policy_consistent(tbox, policy, candidate)
@@ -105,7 +102,7 @@ def opt_ga_censor(
     """Greedy optimal censor: walk the closure in the given order, keeping
     each atom whose addition leaves the kept set consistent with the TBox
     and the policy."""
-    _require_preconditions(tbox, policy, abox)
+    _require_consistent(tbox, abox)
     closure = abox_closure(tbox, abox)
     kept: frozenset[Atom] = frozenset()
     for alpha in order.arrange(closure.atoms):
@@ -120,7 +117,7 @@ def enumerate_optimal_ga_censors(
 ) -> frozenset[ABox]:
     """All maximal policy-consistent subsets of the closure.  Exponential in
     the worst case; guarded by `limit` (default 24 closure atoms)."""
-    _require_preconditions(tbox, policy, abox)
+    _require_consistent(tbox, abox)
     limit = default_size_guard() if limit is None else limit
     closure = abox_closure(tbox, abox)
     if len(closure) > limit:
@@ -156,35 +153,12 @@ def enumerate_optimal_ga_censors(
     return frozenset(ABox(s) for s in found)
 
 
-def censor_entails(tbox: TBox, theory: CensorTheory, q: ConjunctiveQuery) -> bool:
-    """Membership of `q` in the theory spanned by the censor representative."""
-    return cq_entailed(tbox, theory.representative, q)
-
-
 def ib_entail(
     tbox: TBox, policy: Policy, abox: ABox, q: ConjunctiveQuery, limit: int | None = None
 ) -> bool:
     """Skeptical entailment: `q` must hold in every optimal censor theory."""
     censors = enumerate_optimal_ga_censors(tbox, policy, abox, limit)
-    return all(censor_entails(tbox, CensorTheory(rep), q) for rep in censors)
-
-
-def _iter_hom_images(
-    atoms: list[Atom], rel, binding: dict
-) -> Iterator[dict]:
-    if not atoms:
-        yield binding
-        return
-
-    def boundness(a: Atom) -> int:
-        return sum(1 for t in a.args if t.is_const or t in binding)
-
-    best = max(atoms, key=boundness)
-    rest = [a for a in atoms if a is not best]
-    for row in rel.candidates(best, binding):
-        nb = _extend(best, row, binding)
-        if nb is not None:
-            yield from _iter_hom_images(rest, rel, nb)
+    return all(cq_entailed(tbox, rep, q) for rep in censors)
 
 
 def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
@@ -192,33 +166,27 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
 
     Every homomorphic image of a rewritten denial body is such a violating
     set, and every minimal violating set arises this way, so it suffices to
-    collect the images and keep the subset-minimal ones.  A per-element
-    consistency pass re-verifies minimality afterwards."""
-    _require_preconditions(tbox, policy, abox)
+    collect the images and keep the minimal ones.  Violation is monotone, so
+    an image is minimal iff removing any one of its atoms stops it violating."""
+    _require_consistent(tbox, abox)
     closure = abox_closure(tbox, abox)
     rel = _abox_relations(closure)
     images: set[frozenset[Atom]] = set()
     for d in policy.denials:
         for rewritten in perfect_ref(denial_query(d), tbox):
-            for binding in _iter_hom_images(list(rewritten.atoms), rel, {}):
+            for binding in _homomorphisms(list(rewritten.atoms), rel, {}):
                 image = frozenset(
                     Atom(a.predicate, tuple(binding.get(t, t) for t in a.args))
                     for a in rewritten.atoms
                 )
                 images.add(image)
 
-    by_size = sorted(images, key=lambda s: (len(s), sorted(map(atom_order_key, s))))
-    minimal: list[frozenset[Atom]] = []
-    for s in by_size:
-        if not any(m < s for m in minimal):
-            minimal.append(s)
-
     def violates(atoms: frozenset[Atom]) -> bool:
         return not _keeps_policy(tbox, policy, atoms)
 
     verified = frozenset(
         s
-        for s in minimal
+        for s in images
         if violates(s) and all(not violates(s - {sigma}) for sigma in s)
     )
     return SecretSet(verified)
@@ -242,7 +210,7 @@ def qib_entail_bruteforce(
 ) -> bool:
     """Oracle for `qib_entail`: search for a closure subset that entails the
     query while avoiding every secret, by plain subset enumeration."""
-    _require_preconditions(tbox, policy, abox)
+    _require_consistent(tbox, abox)
     limit = default_size_guard() if limit is None else limit
     closure = abox_closure(tbox, abox)
     if len(closure) > limit:

@@ -17,7 +17,6 @@ from pathlib import Path
 from .censors import (
     AtomOrder,
     SizeGuardError,
-    default_size_guard,
     enumerate_optimal_ga_censors,
     ib_entail,
     opt_ga_censor,
@@ -39,6 +38,7 @@ from .parser import (
 )
 from .reasoner import (
     InconsistentOntologyError,
+    _require_consistent,
     abox_closure,
     cq_entailed,
     is_consistent,
@@ -169,6 +169,7 @@ def cmd_entail(args) -> int:
     elif args.semantics == "qib":
         verdict = qib_entail(inp.tbox, inp.policy, inp.abox, inp.query)
     else:  # qib-fo
+        _require_consistent(inp.tbox, inp.abox)
         node, _ = qib_rewrite_report(inp.query, inp.tbox, inp.policy)
         verdict = eval_fo(node, inp.abox)
     elapsed_ms = int((time.monotonic() - start) * 1000)
@@ -251,7 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--limit",
             type=int,
-            default=default_size_guard(),
             help="size guard for exponential paths (env CQE_LIMIT)",
         )
 
@@ -265,7 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("censor", help="compute an optimal censor (or all of them)")
     common(p)
-    p.add_argument("--order", choices=("lex",), default="lex")
     p.add_argument("--order-file", help="explicit atom order (ABox syntax)")
     p.add_argument("--enumerate", action="store_true", help="list every optimal censor")
     p.set_defaults(run=cmd_censor)
@@ -300,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "limit", 1) < 1:
+        limit = getattr(args, "limit", None)
+        if limit is not None and limit < 1:
             raise ParseError("args", 1, 1, "--limit must be at least 1")
         return args.run(args)
     except ParseError as exc:

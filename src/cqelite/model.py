@@ -1,4 +1,4 @@
-"""Immutable core types: ontologies, policies, queries, censor theories.
+"""Immutable core types: ontologies, policies, queries, secrets.
 
 All types are frozen dataclasses with value semantics, so they can be used
 as dict keys and set members and shared freely across threads.  A single
@@ -231,12 +231,6 @@ class TBox:
         return len(self.axioms)
 
 
-def normalize(tbox: TBox) -> TBox:
-    """Structurally canonical TBox: deduplicated axioms, signature recomputed
-    from the axioms plus any explicitly declared names."""
-    return TBox.of(tbox.axioms, tbox.concept_names, tbox.role_names)
-
-
 @dataclass(frozen=True)
 class ABox:
     atoms: frozenset[Atom]
@@ -264,9 +258,6 @@ class ABox:
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
-
-
-EMPTY_ABOX = ABox(frozenset())
 
 
 @dataclass(frozen=True)
@@ -443,14 +434,6 @@ def cq_to_fo(q: ConjunctiveQuery) -> FONode:
 
 
 @dataclass(frozen=True)
-class CensorTheory:
-    """A censor theory given by a finite representative: the theory is the
-    set of queries entailed by the TBox together with `representative`."""
-
-    representative: ABox
-
-
-@dataclass(frozen=True)
 class SecretSet:
     """The minimal closure subsets that clash with the TBox and policy."""
 
@@ -463,7 +446,4 @@ class SecretSet:
         return len(self.secrets)
 
     def union(self) -> frozenset[Atom]:
-        out: frozenset[Atom] = frozenset()
-        for s in self.secrets:
-            out |= s
-        return out
+        return frozenset().union(*self.secrets)

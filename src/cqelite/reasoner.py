@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .model import (
     ABox,
@@ -30,9 +30,6 @@ from .model import (
     atomic,
     var,
 )
-
-EMPTY_ABOX = ABox(frozenset())
-
 
 class InconsistentOntologyError(Exception):
     """Raised when an operation requires a consistent TBox + ABox."""
@@ -215,14 +212,27 @@ def role_atom(r: RoleExpr, t1: Term, t2: Term) -> Atom:
     return Atom(r.name, (t1, t2))
 
 
-def _realized(atom: Atom) -> list[tuple[BasicConcept, Term]]:
-    """Basic concepts directly witnessed by one atom."""
-    if atom.arity == 1:
-        return [(atomic(atom.predicate), atom.args[0])]
+def _realized(pred: str, args: tuple) -> list[tuple[BasicConcept, Term]]:
+    """Basic concepts directly witnessed by one fact."""
+    if len(args) == 1:
+        return [(atomic(pred), args[0])]
     return [
-        (BasicConcept("exists", atom.predicate), atom.args[0]),
-        (BasicConcept("exists_inv", atom.predicate), atom.args[1]),
+        (BasicConcept("exists", pred), args[0]),
+        (BasicConcept("exists_inv", pred), args[1]),
     ]
+
+
+def _entailed_facts(maps: _ClosureMaps, pred: str, args: tuple) -> Iterator[tuple[str, tuple]]:
+    """The named facts entailed by the fact `pred(args)` alone: its role
+    subsumers and its atomic concept subsumers.  The subsumption maps are
+    transitive, so no fact derived here entails one that is not."""
+    if len(args) == 2:
+        for sup in maps.role_subsumers.get(RoleExpr(pred), ()):
+            yield (sup.name, (args[1], args[0]) if sup.inverse else args)
+    for (b, u) in _realized(pred, args):
+        for sup in maps.concept_subsumers.get(b, ()):
+            if sup.kind == "atomic":
+                yield (sup.name, (u,))
 
 
 # --- conjunctive query evaluation -------------------------------------------
@@ -273,9 +283,12 @@ def _extend(atom: Atom, row: tuple, binding: dict) -> Optional[dict]:
     return new if new is not None else dict(binding)
 
 
-def _hom_exists(atoms: list[Atom], rel: _Relations, binding: dict) -> bool:
+def _homomorphisms(atoms: list[Atom], rel: _Relations, binding: dict) -> Iterator[dict]:
+    """Every extension of `binding` that maps `atoms` into `rel`, found by
+    backtracking from the most-bound atom."""
     if not atoms:
-        return True
+        yield binding
+        return
 
     def boundness(a: Atom) -> int:
         return sum(1 for t in a.args if t.is_const or t in binding)
@@ -284,9 +297,8 @@ def _hom_exists(atoms: list[Atom], rel: _Relations, binding: dict) -> bool:
     rest = [a for a in atoms if a is not best]
     for row in rel.candidates(best, binding):
         nb = _extend(best, row, binding)
-        if nb is not None and _hom_exists(rest, rel, nb):
-            return True
-    return False
+        if nb is not None:
+            yield from _homomorphisms(rest, rel, nb)
 
 
 @lru_cache(maxsize=1024)
@@ -297,10 +309,14 @@ def _abox_relations(abox: ABox) -> _Relations:
 def eval_cq(q: ConjunctiveQuery, abox: ABox) -> bool:
     """True iff some homomorphism maps the query atoms into the ABox
     (variables to constants, constants fixed)."""
-    return _hom_exists(list(q.atoms), _abox_relations(abox), {})
+    return next(_homomorphisms(list(q.atoms), _abox_relations(abox), {}), None) is not None
 
 
 # --- query rewriting ----------------------------------------------------------
+
+
+def _atom_key(a: Atom) -> tuple:
+    return (a.predicate, a.arity, tuple((t.kind, t.name) for t in a.args))
 
 
 def _canonical_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -309,10 +325,7 @@ def _canonical_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
     The renaming follows atom order under the original names, so the result
     is a pure function of the input (no dependence on set iteration order)."""
 
-    def key(a: Atom):
-        return (a.predicate, a.arity, tuple((t.kind, t.name) for t in a.args))
-
-    atoms = sorted(q.atoms, key=key)
+    atoms = sorted(q.atoms, key=_atom_key)
     mapping: dict[Term, Term] = {}
     for a in atoms:
         for t in a.args:
@@ -511,16 +524,6 @@ def is_policy_consistent(tbox: TBox, policy: Policy, abox: ABox) -> bool:
     )
 
 
-def is_policy_loadable(tbox: TBox, policy: Policy) -> bool:
-    """True iff the TBox alone entails no denial body.  Inclusion axioms
-    cannot force instances into existence, so this never fails for the
-    ontology language at hand; the gate exists to reject bad policies early
-    should the language ever grow."""
-    return not any(
-        _entailed_unchecked(tbox, EMPTY_ABOX, denial_query(d)) for d in policy.denials
-    )
-
-
 @lru_cache(maxsize=16384)
 def abox_closure(tbox: TBox, abox: ABox) -> ABox:
     """All ground atoms over the data constants entailed by TBox + ABox.
@@ -530,14 +533,8 @@ def abox_closure(tbox: TBox, abox: ABox) -> ABox:
     maps = _closure_maps(tbox)
     out = set(abox.atoms)
     for atom in abox.atoms:
-        if atom.arity == 2:
-            r = RoleExpr(atom.predicate)
-            for sup in maps.role_subsumers.get(r, ()):
-                out.add(role_atom(sup, atom.args[0], atom.args[1]))
-        for (b, u) in _realized(atom):
-            for sup in maps.concept_subsumers.get(b, ()):
-                if sup.kind == "atomic":
-                    out.add(Atom(sup.name, (u,)))
+        for pred, args in _entailed_facts(maps, atom.predicate, atom.args):
+            out.add(Atom(pred, args))
     return ABox(frozenset(out))
 
 
@@ -585,47 +582,14 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
     """Apply inclusion axioms with fresh nulls for unsatisfied existentials,
     stopping at the given null depth.  Existential steps are skipped when a
     witness already exists (restricted chase)."""
-    _require_consistent(tbox, abox)
     maps = _closure_maps(tbox)
-
-    atoms: set[tuple[str, tuple]] = {(a.predicate, a.args) for a in abox.atoms}
+    atoms: set[tuple[str, tuple]] = {(a.predicate, a.args) for a in abox_closure(tbox, abox)}
     depths: dict[ChaseTerm, int] = {}
     for a in abox.atoms:
         for t in a.args:
             depths[t] = 0
     next_null = 1
 
-    def saturate():
-        changed = True
-        while changed:
-            changed = False
-            for (pred, args) in list(atoms):
-                if len(args) == 2:
-                    r = RoleExpr(pred)
-                    for sup in maps.role_subsumers.get(r, ()):
-                        fact = (
-                            (sup.name, (args[1], args[0]))
-                            if sup.inverse
-                            else (sup.name, (args[0], args[1]))
-                        )
-                        if fact not in atoms:
-                            atoms.add(fact)
-                            changed = True
-                    realized = [
-                        (BasicConcept("exists", pred), args[0]),
-                        (BasicConcept("exists_inv", pred), args[1]),
-                    ]
-                else:
-                    realized = [(atomic(pred), args[0])]
-                for (b, u) in realized:
-                    for sup in maps.concept_subsumers.get(b, ()):
-                        if sup.kind == "atomic":
-                            fact = (sup.name, (u,))
-                            if fact not in atoms:
-                                atoms.add(fact)
-                                changed = True
-
-    saturate()
     progress = True
     while progress:
         progress = False
@@ -636,14 +600,7 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
                 has_succ.setdefault((pred, 1), set()).add(args[1])
         pending = []
         for (pred, args) in list(atoms):
-            if len(args) == 2:
-                realized = [
-                    (BasicConcept("exists", pred), args[0]),
-                    (BasicConcept("exists_inv", pred), args[1]),
-                ]
-            else:
-                realized = [(atomic(pred), args[0])]
-            for (b, u) in realized:
+            for (b, u) in _realized(pred, args):
                 if depths[u] >= depth:
                     continue
                 for sup in maps.concept_subsumers.get(b, ()):
@@ -657,12 +614,12 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
             null = Null(next_null)
             next_null += 1
             depths[null] = depths[u] + 1
-            fact = (role, (u, null)) if pos == 0 else (role, (null, u))
-            atoms.add(fact)
+            args = (u, null) if pos == 0 else (null, u)
+            atoms.add((role, args))
+            atoms.update(_entailed_facts(maps, role, args))
             progress = True
         if len(atoms) > _CHASE_ATOM_CAP:
             raise RuntimeError("chase structure exceeds safety cap")
-        saturate()
 
     null_depths = {t: d for t, d in depths.items() if isinstance(t, Null)}
     return ChaseStructure(frozenset(atoms), null_depths)
@@ -671,7 +628,7 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
 def chase_satisfies(chase: ChaseStructure, q: ConjunctiveQuery) -> bool:
     """Homomorphism check into a chase structure; variables may map to nulls."""
     rel = _Relations(iter(chase.atoms))
-    return _hom_exists(list(q.atoms), rel, {})
+    return next(_homomorphisms(list(q.atoms), rel, {}), None) is not None
 
 
 def chase_entails(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:

@@ -50,13 +50,14 @@ from .model import (
     var,
 )
 from .reasoner import (
-    InconsistentOntologyError,
+    _Relations,
     _abox_relations,
+    _atom_key,
     _canonical_cq,
     _closure_maps,
     _extend,
+    _homomorphisms,
     denial_query,
-    is_policy_loadable,
     perfect_ref,
 )
 
@@ -273,10 +274,7 @@ def atom_rewr(q: FONode, tbox: TBox) -> FONode:
 
 
 def _cq_key(q: ConjunctiveQuery) -> tuple:
-    return tuple(
-        (a.predicate, a.arity) + tuple((t.kind, t.name) for t in a.args)
-        for a in q.sorted_atoms()
-    )
+    return tuple(_atom_key(a) for a in q.sorted_atoms())
 
 
 def _partitions(items: list) -> Iterable[list[list]]:
@@ -302,23 +300,9 @@ class _PatternStore:
         self.rc = rc
 
 
-def _iter_bindings(atoms: list[Atom], rel, binding: dict):
-    if not atoms:
-        yield binding
-        return
-    best = max(atoms, key=lambda a: sum(1 for t in a.args if t.is_const or t in binding))
-    rest = [a for a in atoms if a is not best]
-    for row in rel.candidates(best, binding):
-        nb = _extend(best, row, binding)
-        if nb is not None:
-            yield from _iter_bindings(rest, rel, nb)
-
-
 def _has_proper_subimage(raw: list[ConjunctiveQuery], quotient: ConjunctiveQuery) -> bool:
     """True if some raw pattern maps into the quotient's atoms with an image
     that misses at least one of them (the quotient is then non-minimal)."""
-    from .reasoner import _Relations
-
     rel = _Relations((a.predicate, a.args) for a in quotient.atoms)
     target = quotient.atoms
     for f in raw:
@@ -327,7 +311,7 @@ def _has_proper_subimage(raw: list[ConjunctiveQuery], quotient: ConjunctiveQuery
             # collapsing match of a longer pattern factors through a reduced
             # pattern that is also in `raw` and has no more atoms than its image
             continue
-        for b in _iter_bindings(list(f.atoms), rel, {}):
+        for b in _homomorphisms(list(f.atoms), rel, {}):
             image = frozenset(
                 Atom(a.predicate, tuple(b.get(t, t) for t in a.args)) for a in f.atoms
             )
@@ -443,8 +427,6 @@ def _guard_for(
 def _build_iar(
     q: ConjunctiveQuery, tbox: TBox, policy: Policy
 ) -> tuple[FONode, int, int]:
-    if not is_policy_loadable(tbox, policy):
-        raise InconsistentOntologyError("TBox and policy are inconsistent")
     store = _conflict_patterns(tbox, policy)
     counter = [0]
 

@@ -7,11 +7,9 @@ from cqelite import (
     ABox,
     Atom,
     AtomOrder,
-    CensorTheory,
     InconsistentOntologyError,
     SizeGuardError,
     abox_closure,
-    censor_entails,
     const,
     cq_entailed,
     enumerate_optimal_ga_censors,
@@ -141,13 +139,13 @@ def test_order_coverage_exhaustive_small(supplier_tbox, supplier_policy, supplie
 # --- censor theories -----------------------------------------------------------
 
 
-def test_censor_entails_direct(supplier_tbox):
-    yes = CensorTheory(parse_abox("ProjA(c)\nSupplier(c)"))
-    no = CensorTheory(parse_abox("ProjB(c)\nSupplier(c)"))
+def test_cq_entailed_on_censor_representatives(supplier_tbox):
+    yes = parse_abox("ProjA(c)\nSupplier(c)")
+    no = parse_abox("ProjB(c)\nSupplier(c)")
     exists_proj_a = q("ProjA(X)")
-    assert censor_entails(supplier_tbox, yes, exists_proj_a)
-    assert not censor_entails(supplier_tbox, no, exists_proj_a)
-    assert censor_entails(supplier_tbox, yes, q("ProjA(c)"))
+    assert cq_entailed(supplier_tbox, yes, exists_proj_a)
+    assert not cq_entailed(supplier_tbox, no, exists_proj_a)
+    assert cq_entailed(supplier_tbox, yes, q("ProjA(c)"))
 
 
 def test_ib_entail_running_example(supplier_tbox, supplier_policy, supplier_abox):

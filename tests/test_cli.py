@@ -93,6 +93,26 @@ def test_closure_inconsistent_exit_3(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("semantics", ["certain", "ib", "qib", "qib-fo"])
+def test_entail_inconsistent_exit_3(capsys, tmp_path, semantics):
+    (tmp_path / "t.txt").write_text("A [= -B\n")
+    (tmp_path / "a.txt").write_text("A(c)\nB(c)\n")
+    (tmp_path / "p.txt").write_text("denial :- A(X), B(X)\n")
+    (tmp_path / "q.txt").write_text("q :- A(c)\n")
+    code = main(
+        [
+            "entail",
+            "--tbox", str(tmp_path / "t.txt"),
+            "--abox", str(tmp_path / "a.txt"),
+            "--policy", str(tmp_path / "p.txt"),
+            "--query", str(tmp_path / "q.txt"),
+            "--semantics", semantics,
+        ]
+    )
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_censor_lex_text(files, capsys):
     code = main(
         [
@@ -174,6 +194,16 @@ def test_censor_size_guard_exit_4(capsys, tmp_path):
         ]
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_cqe_limit_exit_2(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("CQE_LIMIT", value)
+    inputs = ["--tbox", files["tbox"], "--abox", files["abox"], "--policy", files["policy"]]
+    assert main(["censor", "--enumerate"] + inputs) == 2
+    assert "CQE_LIMIT" in capsys.readouterr().err
+    # commands that never consult the size guard ignore it
+    assert main(["consistency"] + inputs) == 0
 
 
 @pytest.mark.parametrize(
@@ -293,8 +323,7 @@ def test_gen_zero_denials(tmp_path, capsys):
 
 
 def test_gen_output_is_consistent_and_loadable(tmp_path, capsys):
-    from cqelite import is_consistent, parse_abox, parse_policy, parse_tbox
-    from cqelite.reasoner import is_policy_loadable
+    from cqelite import ABox, is_consistent, is_policy_consistent, parse_abox, parse_policy, parse_tbox
 
     for seed in range(5):
         out = tmp_path / f"s{seed}"
@@ -305,4 +334,16 @@ def test_gen_output_is_consistent_and_loadable(tmp_path, capsys):
         a = parse_abox((out / "abox.txt").read_text())
         p = parse_policy((out / "policy.txt").read_text())
         assert is_consistent(t, a)
-        assert is_policy_loadable(t, p)
+        assert is_policy_consistent(t, p, ABox.of())
+
+
+@pytest.mark.parametrize(
+    "flag,value,pool",
+    [("--constants", "100", "8 constants"), ("--concepts", "9", "8 concepts"), ("--roles", "5", "4 roles")],
+)
+def test_gen_refuses_counts_above_its_pools(tmp_path, capsys, flag, value, pool):
+    out = tmp_path / "g"
+    code = main(["gen", "--seed", "7", "--atoms", "2000", flag, value, "--out-dir", str(out)])
+    assert code == 2
+    assert f"at most {pool}" in capsys.readouterr().err
+    assert not out.exists()
