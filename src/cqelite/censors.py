@@ -9,12 +9,19 @@ query holds under every one of them (skeptical entailment).  `secrets`,
 every atom that participates in some minimal policy-violating subset and
 query what is left.  `qib_entail_bruteforce` re-decides the approximation by
 raw subset enumeration and exists purely as a test oracle.
-"""
+
+The secrets form a hypergraph on the closure.  The closure is consistent
+and violation is monotone, so a subset of the closure is policy-safe iff it
+contains no secret; `secrets` and `opt_ga_censor` work on that hypergraph
+alone.  `enumerate_optimal_ga_censors` and `ib_entail` still run the full
+consistency and policy checks on candidate subsets, which makes the
+enumeration an independent oracle for the greedy censor."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import combinations
 
 from .model import (
     ABox,
@@ -101,15 +108,24 @@ def opt_ga_censor(
 ) -> ABox:
     """Greedy optimal censor: walk the closure in the given order, keeping
     each atom whose addition leaves the kept set consistent with the TBox
-    and the policy."""
-    _require_consistent(tbox, abox)
+    and the policy.
+
+    The test runs on the secret hypergraph.  Every subset of the closure is
+    consistent with the TBox (each model of TBox + ABox satisfies it), and a
+    subset violates the policy iff it contains a secret.  The kept set never
+    contains one, so adding `alpha` is safe unless some secret holding
+    `alpha` has all its other atoms kept already.  One pass over the secrets
+    of each atom makes the walk linear in their total size."""
+    by_atom: dict[Atom, list[frozenset[Atom]]] = {}
+    for s in secrets(tbox, policy, abox):
+        for a in s:
+            by_atom.setdefault(a, []).append(s)
     closure = abox_closure(tbox, abox)
-    kept: frozenset[Atom] = frozenset()
+    kept: set[Atom] = set()
     for alpha in order.arrange(closure.atoms):
-        candidate = kept | {alpha}
-        if _keeps_policy(tbox, policy, candidate):
-            kept = candidate
-    return ABox(kept)
+        if not any(s - {alpha} <= kept for s in by_atom.get(alpha, ())):
+            kept.add(alpha)
+    return ABox(frozenset(kept))
 
 
 def enumerate_optimal_ga_censors(
@@ -165,9 +181,11 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
     """All minimal closure subsets inconsistent with the TBox and policy.
 
     Every homomorphic image of a rewritten denial body is such a violating
-    set, and every minimal violating set arises this way, so it suffices to
-    collect the images and keep the minimal ones.  Violation is monotone, so
-    an image is minimal iff removing any one of its atoms stops it violating."""
+    set, and every violating subset of the closure contains one: the
+    closure is consistent, so a subset can only violate the policy, and then
+    some rewritten body maps into it.  The secrets are therefore exactly the
+    images with no other image as a proper subset, which a lookup of each
+    image's proper subsets decides."""
     _require_consistent(tbox, abox)
     closure = abox_closure(tbox, abox)
     rel = _abox_relations(closure)
@@ -180,16 +198,15 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
                     for a in rewritten.atoms
                 )
                 images.add(image)
-
-    def violates(atoms: frozenset[Atom]) -> bool:
-        return not _keeps_policy(tbox, policy, atoms)
-
-    verified = frozenset(
-        s
-        for s in images
-        if violates(s) and all(not violates(s - {sigma}) for sigma in s)
+    return SecretSet(
+        frozenset(
+            s
+            for s in images
+            if not any(
+                frozenset(c) in images for r in range(len(s)) for c in combinations(s, r)
+            )
+        )
     )
-    return SecretSet(verified)
 
 
 def iar_repair(tbox: TBox, policy: Policy, abox: ABox) -> ABox:

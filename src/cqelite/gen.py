@@ -2,7 +2,8 @@
 
 Generated triples always satisfy the engine precondition: the TBox plus
 ABox is consistent (atoms that would break consistency are dropped during
-generation).  Names come from fixed pools, and a count above its pool is
+generation).  Names come from fixed pools.  A count above its pool, below 1
+for constants and concepts, or negative for roles, atoms and denials is
 refused with a `ValueError`.
 """
 
@@ -41,7 +42,13 @@ CONST_POOL = list(string.ascii_lowercase[:8])
 VAR_POOL = ["X", "Y", "Z", "U", "V"]
 
 
+def _at_least(n: int, least: int, what: str) -> None:
+    if n < least:
+        raise ValueError(f"the number of {what} must be at least {least}, got {n}")
+
+
 def _take(pool: list[str], n: int, what: str) -> list[str]:
+    _at_least(n, 1, what)
     if n > len(pool):
         raise ValueError(f"at most {len(pool)} {what} can be generated, got {n}")
     return pool[:n]
@@ -63,7 +70,8 @@ def random_tbox(
     p_negated: float = 0.25,
 ) -> TBox:
     concepts = _take(CONCEPT_POOL, n_concepts, "concepts")
-    roles = _take(ROLE_POOL, n_roles, "roles")
+    _at_least(n_roles, 0, "roles")
+    roles = _take(ROLE_POOL, n_roles, "roles") if n_roles else []
     if n_axioms is None:
         n_axioms = rng.randint(0, n_concepts + n_roles)
     axioms = []
@@ -91,6 +99,7 @@ def random_abox(
     rng: random.Random, tbox: TBox, n_atoms: int = 6, n_consts: int = 4
 ) -> ABox:
     consts = _take(CONST_POOL, n_consts, "constants")
+    _at_least(n_atoms, 0, "atoms")
     atoms: set[Atom] = set()
     for _ in range(n_atoms):
         candidate = _random_ground_atom(rng, tbox, consts)
@@ -118,6 +127,7 @@ def random_policy(
     rng: random.Random, tbox: TBox, n_denials: int = 2, max_body: int = 3, n_consts: int = 4
 ) -> Policy:
     consts = _take(CONST_POOL, n_consts, "constants")
+    _at_least(n_denials, 0, "denials")
     denials = set()
     for _ in range(n_denials):
         size = rng.randint(1, max_body)

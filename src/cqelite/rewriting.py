@@ -21,7 +21,7 @@ solely for this purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Optional
 
@@ -74,9 +74,14 @@ class _Evaluator:
     assignments over its free variables."""
 
     def __init__(self, abox: ABox):
+        self.abox = abox
         self.rel = _abox_relations(abox)
-        self.adom: list[Term] = sorted(abox.constants())
-        self.adom_set = set(self.adom)
+
+    @cached_property
+    def adom(self) -> frozenset[Term]:
+        # built on first use, since many sentences never read it; it is
+        # only ever read as a set, so it needs no order
+        return self.abox.constants()
 
     def truth(self, node: FONode) -> bool:
         _, rows = self.rows(node)
@@ -133,7 +138,7 @@ class _Evaluator:
             return (), ({()} if l == r else set())
         if l.is_const or r.is_const:
             v, c = (r, l) if l.is_const else (l, r)
-            return (v,), ({(c,)} if c in self.adom_set else set())
+            return (v,), ({(c,)} if c in self.adom else set())
         if l == r:
             return (l,), {(a,) for a in self.adom}
         return (l, r), {(a, a) for a in self.adom}

@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqelite import (
     ABox,
@@ -25,6 +26,7 @@ from cqelite import (
     qib_entail_bruteforce,
     secrets,
 )
+from cqelite.censors import _keeps_policy
 from cqelite.model import Policy
 from cqelite.gen import random_bcq, random_instance
 
@@ -66,6 +68,64 @@ def test_opt_ga_censor_checks_preconditions():
     p = parse_policy("denial :- A(X)")
     with pytest.raises(InconsistentOntologyError):
         opt_ga_censor(t, p, parse_abox("A(c)\nB(c)"))
+
+
+def greedy_by_prefix(t, p, a, order):
+    """Reference greedy censor: the full consistency and policy check on
+    every candidate prefix."""
+    kept = frozenset()
+    for alpha in order.arrange(abox_closure(t, a).atoms):
+        if _keeps_policy(t, p, kept | {alpha}):
+            kept = kept | {alpha}
+    return ABox(kept)
+
+
+def chain_instance(seed):
+    """A width-3 chain denial over a small role ABox: secrets of three atoms,
+    and collapsed matches whose images are not minimal."""
+    rng = random.Random(seed)
+    lines = {f"{rng.choice('RS')}({rng.choice('abc')},{rng.choice('abc')})" for _ in range(5)}
+    return (
+        parse_tbox("role R [= S"),
+        parse_policy("denial :- S(X,Y), S(Y,Z), S(Z,W)"),
+        parse_abox("\n".join(sorted(lines))),
+    )
+
+
+instances = st.one_of(
+    st.builds(
+        lambda seed, n_atoms, n_consts: random_instance(seed, n_atoms=n_atoms, n_consts=n_consts),
+        st.integers(0, 10_000),
+        st.integers(0, 10),
+        st.integers(1, 4),
+    ),
+    st.builds(chain_instance, st.integers(0, 10_000)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=instances, data=st.data())
+def test_opt_ga_censor_matches_prefix_reference(instance, data):
+    t, p, a = instance
+    closure = sorted(abox_closure(t, a).atoms, key=repr)
+    shuffled = AtomOrder.explicit(data.draw(st.permutations(closure)))
+    for order in (AtomOrder.lex(), shuffled):
+        assert opt_ga_censor(t, p, a, order) == greedy_by_prefix(t, p, a, order)
+
+
+def test_opt_ga_censor_runs_no_policy_check():
+    # the greedy walk must stay on the secret hypergraph: a per-prefix policy
+    # check would show up as cache traffic on a closure this large
+    t = parse_tbox("ProjA [= Supplier\nProjB [= Supplier")
+    p = parse_policy("denial :- ProjA(X), ProjB(X)")
+    a = parse_abox("\n".join(f"ProjA(c{i})\nProjB(c{i})" for i in range(350)))
+    closure = abox_closure(t, a)
+    assert len(closure) >= 1000
+    before = is_policy_consistent.cache_info()
+    censor = opt_ga_censor(t, p, a)
+    after = is_policy_consistent.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert len(censor) == len(closure) - 350
 
 
 # --- enumeration -------------------------------------------------------------
@@ -190,13 +250,19 @@ def test_secrets_non_minimal_images_are_dropped():
     found = secrets(t, p, a)
     assert found.secrets == frozenset({atoms("R(a,a)")})
     assert iar_repair(t, p, a).atoms == atoms("R(a,b)")
+    # a longer denial's image holds a shorter one's with no image in between
+    p = parse_policy("denial :- A(X)\ndenial :- A(X), R(X,Y), B(Y)")
+    a = parse_abox("A(a)\nR(a,b)\nB(b)")
+    assert secrets(t, p, a).secrets == frozenset({atoms("A(a)")})
 
 
 def test_secret_correctness_brute_force():
     """Every violating closure subset contains a returned secret, every
     returned secret violates, and removing any element repairs it."""
-    for seed in range(30):
-        t, p, a = random_instance(seed, n_atoms=5)
+    randoms = [random_instance(seed, n_atoms=5) for seed in range(30)]
+    chains = [chain_instance(seed) for seed in range(8)]
+    sizes = []
+    for t, p, a in randoms + chains:
         closure = sorted(abox_closure(t, a).atoms, key=repr)
         found = secrets(t, p, a).secrets
 
@@ -204,6 +270,7 @@ def test_secret_correctness_brute_force():
             box = ABox(frozenset(subset))
             return not (is_consistent(t, box) and is_policy_consistent(t, p, box))
 
+        sizes += [len(s) for s in found]
         for s in found:
             assert violates(s)
             for sigma in s:
@@ -211,7 +278,8 @@ def test_secret_correctness_brute_force():
         for mask in range(1 << len(closure)):
             subset = frozenset(x for i, x in enumerate(closure) if mask >> i & 1)
             if violates(subset):
-                assert any(s <= subset for s in found), (seed, subset)
+                assert any(s <= subset for s in found), (a, subset)
+    assert max(sizes) >= 3
 
 
 def test_iar_repair_running_example(supplier_tbox, supplier_policy, supplier_abox):

@@ -347,3 +347,28 @@ def test_gen_refuses_counts_above_its_pools(tmp_path, capsys, flag, value, pool)
     assert code == 2
     assert f"at most {pool}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag,value,least",
+    [
+        ("--constants", "0", 1),
+        ("--constants", "-1", 1),
+        ("--concepts", "0", 1),
+        ("--roles", "-1", 0),
+        ("--atoms", "-3", 0),
+        ("--denials", "-1", 0),
+    ],
+)
+def test_gen_refuses_counts_below_their_floor(tmp_path, capsys, flag, value, least):
+    out = tmp_path / "g"
+    code = main(["gen", "--seed", "1", flag, value, "--out-dir", str(out)])
+    assert code == 2
+    assert f"must be at least {least}, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_zero_roles(tmp_path, capsys):
+    code, _ = run_json(capsys, ["gen", "--seed", "1", "--out-dir", str(tmp_path), "--roles", "0"])
+    assert code == 0
+    assert "," not in (tmp_path / "abox.txt").read_text()
