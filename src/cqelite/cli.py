@@ -287,7 +287,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--concepts", type=int, default=4)
     p.add_argument("--roles", type=int, default=2)
-    p.add_argument("--atoms", type=int, default=6)
+    p.add_argument(
+        "--atoms",
+        type=int,
+        default=6,
+        help="candidate ABox atoms to draw; duplicates and draws that would "
+        "make the ABox inconsistent are dropped, so fewer may be written",
+    )
     p.add_argument("--denials", type=int, default=2)
     p.add_argument("--constants", type=int, default=4)
     p.add_argument("--format", choices=("json", "text"), default="json")

@@ -236,9 +236,12 @@ class ABox:
     atoms: frozenset[Atom]
 
     def __post_init__(self):
+        # a plain loop over the args costs about half of `Atom.is_ground`,
+        # and every new ABox value pays it
         for a in self.atoms:
-            if not a.is_ground:
-                raise ValueError(f"non-ground atom in ABox: {a}")
+            for t in a.args:
+                if t.kind != CONST:
+                    raise ValueError(f"non-ground atom in ABox: {a}")
 
     @staticmethod
     def of(atoms=()) -> ABox:

@@ -244,6 +244,7 @@ class _Relations:
     def __init__(self, facts: Iterable[tuple[str, tuple]]):
         self.by_pred: dict[str, list[tuple]] = {}
         self.by_pred_pos: dict[tuple, list[tuple]] = {}
+        self._row_sets: dict[tuple[str, int], frozenset[tuple]] = {}
         for pred, args in facts:
             self.by_pred.setdefault(pred, []).append(args)
         for pred, rows in self.by_pred.items():
@@ -262,6 +263,16 @@ class _Relations:
         if best is not None:
             return best
         return self.by_pred.get(atom.predicate, [])
+
+    def row_set(self, pred: str, arity: int) -> frozenset[tuple]:
+        """The stored rows of `pred` with `arity` columns, as one set; built
+        on first use, since only set-based evaluation reads it."""
+        key = (pred, arity)
+        rows = self._row_sets.get(key)
+        if rows is None:
+            rows = frozenset(r for r in self.by_pred.get(pred, ()) if len(r) == arity)
+            self._row_sets[key] = rows
+        return rows
 
 
 def _extend(atom: Atom, row: tuple, binding: dict) -> Optional[dict]:

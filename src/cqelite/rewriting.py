@@ -1,11 +1,18 @@
 """First-order rewriting and evaluation.
 
 `eval_fo` evaluates an FO sentence over an ABox with quantifiers ranging over
-the active domain.  `atom_rewr` pushes entailed subsumptions into a query so
-that evaluating the result over the raw data simulates evaluating the input
-over the ground-atom closure.  `iar_rewrite` reformulates a conjunctive query
-so that its evaluation decides entailment from the repair (the data minus all
-minimal policy-violating subsets), and `qib_rewrite` composes the two.
+the active domain.  It works on whole sets of rows: an atom over distinct
+variables reads its predicate's stored rows as they are, conjuncts over the
+same variables are intersected and a negated one is subtracted, and a
+sentence stops at its first true disjunct, with an `Exists` prefix split
+across the disjuncts of an `Or` so that variable-disjoint disjuncts are never
+spread over the active domain.
+
+`atom_rewr` pushes entailed subsumptions into a query so that evaluating the
+result over the raw data simulates evaluating the input over the ground-atom
+closure.  `iar_rewrite` reformulates a conjunctive query so that its
+evaluation decides entailment from the repair (the data minus all minimal
+policy-violating subsets), and `qib_rewrite` composes the two.
 
 The repair guards deserve a note.  An atom is unsafe iff it lies in some
 *minimal* violating subset, and a naive "some rewritten denial body matches
@@ -23,7 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import AbstractSet, Iterable, Optional
 
 from .model import (
     ABox,
@@ -68,10 +76,27 @@ class UnboundVariableError(Exception):
 
 # --- active-domain evaluation -------------------------------------------------
 
+# the variables a subformula's rows range over, and the rows
+_Rows = tuple[tuple[Term, ...], AbstractSet[tuple]]
+
 
 class _Evaluator:
-    """Bottom-up set evaluation: each subformula yields the set of satisfying
-    assignments over its free variables."""
+    """Bottom-up set evaluation: each subformula yields a set of rows over
+    a tuple of variables.  The pair denotes every assignment of the
+    subformula's free variables whose restriction to those variables is a
+    row, so a free variable left out of the tuple is unconstrained over the
+    active domain.  Three things keep the sets small:
+
+    - an atom over pairwise-distinct variables yields its predicate's
+      stored row set as it is (`_Relations.row_set`);
+    - conjuncts over the same variables are intersected, and a negated one
+      is subtracted, after their columns are put in the same order;
+      disjuncts that differ only in column order are re-ordered, not spread;
+      a conjunction stops at its first empty intermediate result;
+    - `truth` stops a sentence at its first true disjunct, and splits an
+      `Exists` prefix across the disjuncts of an `Or`, keeping only the
+      variables free in each, so variable-disjoint disjuncts are never
+      spread over the active domain."""
 
     def __init__(self, abox: ABox):
         self.abox = abox
@@ -84,10 +109,32 @@ class _Evaluator:
         return self.abox.constants()
 
     def truth(self, node: FONode) -> bool:
-        _, rows = self.rows(node)
-        return bool(rows)
+        """Truth of a sentence."""
+        if isinstance(node, Or):
+            return any(self.truth(c) for c in node.children)
+        if isinstance(node, And):
+            return all(self.truth(c) for c in node.children)
+        if isinstance(node, Not):
+            return not self.truth(node.body)
+        prefix: list[Term] = []
+        body = node
+        while isinstance(body, Exists):
+            prefix.append(body.variable)
+            body = body.body
+        if prefix and isinstance(body, Or):
+            # EXISTS x (p OR q) == EXISTS x p OR EXISTS x q, and EXISTS x p
+            # with x not free in p holds iff p does and the domain is not empty
+            return any(self._exists_truth(prefix, c) for c in body.children)
+        return bool(self.rows(node)[1])
 
-    def rows(self, node: FONode) -> tuple[tuple[Term, ...], set[tuple]]:
+    def _exists_truth(self, prefix: list[Term], body: FONode) -> bool:
+        free = free_variables(body)
+        kept = [x for x in prefix if x in free]
+        if len(kept) < len(prefix) and not self.adom:
+            return False
+        return self.truth(fo_exists(kept, body))
+
+    def rows(self, node: FONode) -> _Rows:
         if isinstance(node, AtomNode):
             return self._atom_rows(node.atom)
         if isinstance(node, Truth):
@@ -102,11 +149,12 @@ class _Evaluator:
             return v, universe - rws
         if isinstance(node, Exists):
             v, rws = self.rows(node.body)
-            if node.variable in v:
-                i = v.index(node.variable)
-                keep = v[:i] + v[i + 1 :]
-                return keep, {r[:i] + r[i + 1 :] for r in rws}
-            return v, (rws if self.adom else set())
+            if node.variable not in v:
+                return v, (rws if self.adom else set())
+            if len(v) == 1:
+                return (), ({()} if rws else set())
+            i = v.index(node.variable)
+            return v[:i] + v[i + 1 :], {r[:i] + r[i + 1 :] for r in rws}
         if isinstance(node, Or):
             parts = [self.rows(c) for c in node.children]
             out_vars: tuple[Term, ...] = ()
@@ -114,15 +162,19 @@ class _Evaluator:
                 out_vars += tuple(x for x in v if x not in out_vars)
             out: set[tuple] = set()
             for v, rws in parts:
-                out |= self._spread(v, rws, out_vars)
+                if rws:
+                    out |= self._spread(v, rws, out_vars)
             return out_vars, out
         if isinstance(node, And):
             return self._and_rows(node)
         raise TypeError(f"not an FO node: {node!r}")
 
-    def _atom_rows(self, atom: Atom) -> tuple[tuple[Term, ...], set[tuple]]:
+    def _atom_rows(self, atom: Atom) -> _Rows:
+        args = atom.args
+        if all(t.is_var for t in args) and len(set(args)) == len(args):
+            return args, self.rel.row_set(atom.predicate, atom.arity)
         out_vars: list[Term] = []
-        for t in atom.args:
+        for t in args:
             if t.is_var and t not in out_vars:
                 out_vars.append(t)
         rows = set()
@@ -132,7 +184,7 @@ class _Evaluator:
                 rows.add(tuple(b[x] for x in out_vars))
         return tuple(out_vars), rows
 
-    def _eq_rows(self, node: Eq) -> tuple[tuple[Term, ...], set[tuple]]:
+    def _eq_rows(self, node: Eq) -> _Rows:
         l, r = node.left, node.right
         if l.is_const and r.is_const:
             return (), ({()} if l == r else set())
@@ -143,31 +195,46 @@ class _Evaluator:
             return (l,), {(a,) for a in self.adom}
         return (l, r), {(a, a) for a in self.adom}
 
-    def _and_rows(self, node: And) -> tuple[tuple[Term, ...], set[tuple]]:
-        positives = [c for c in node.children if not isinstance(c, Not)]
-        negatives = [c for c in node.children if isinstance(c, Not)]
-        if positives:
-            parts = sorted((self.rows(c) for c in positives), key=lambda p: len(p[1]))
-            cur_vars, cur = parts[0]
-            for v, rws in parts[1:]:
-                cur_vars, cur = self._join(cur_vars, cur, v, rws)
-        else:
-            cur_vars, cur = (), {()}
-        for neg in negatives:
-            iv, irows = self.rows(neg.body)
+    def _and_rows(self, node: And) -> _Rows:
+        parts = []
+        for c in node.children:
+            if not isinstance(c, Not):
+                part = self.rows(c)
+                if not part[1]:
+                    return part
+                parts.append(part)
+        parts.sort(key=lambda p: len(p[1]))
+        cur_vars, cur = parts[0] if parts else ((), {()})
+        for v, rws in parts[1:]:
+            cur_vars, cur = self._join(cur_vars, cur, v, rws)
+            if not cur:
+                return cur_vars, cur
+        for c in node.children:
+            if not isinstance(c, Not):
+                continue
+            iv, irows = self.rows(c.body)
+            if not irows:
+                continue
+            if not iv:
+                return cur_vars, set()
             missing = tuple(x for x in iv if x not in cur_vars)
             if missing:
                 cur = self._spread(cur_vars, cur, cur_vars + missing)
                 cur_vars = cur_vars + missing
-            if not iv:
-                if irows:
-                    cur = set()
-                continue
-            positions = [cur_vars.index(x) for x in iv]
-            cur = {r for r in cur if tuple(r[i] for i in positions) not in irows}
+            if len(iv) == len(cur_vars):
+                cur = cur - self._reorder(iv, irows, cur_vars)
+            else:
+                positions = [cur_vars.index(x) for x in iv]
+                cur = {r for r in cur if tuple(r[i] for i in positions) not in irows}
+            if not cur:
+                return cur_vars, cur
         return cur_vars, cur
 
-    def _join(self, v1, r1, v2, r2):
+    def _join(self, v1, r1, v2, r2) -> _Rows:
+        if len(v1) == len(v2) and set(v1) == set(v2):
+            if len(r1) > len(r2):
+                v1, r1, v2, r2 = v2, r2, v1, r1
+            return v2, self._reorder(v1, r1, v2) & r2
         shared = [x for x in v2 if x in v1]
         out_vars = v1 + tuple(x for x in v2 if x not in v1)
         pos1 = [v1.index(x) for x in shared]
@@ -183,10 +250,18 @@ class _Evaluator:
                 out.add(r + tail)
         return out_vars, out
 
-    def _spread(self, v, rows, out_vars):
+    @staticmethod
+    def _reorder(v, rows, out_vars):
+        """`rows` over `v` with their columns in the order of `out_vars`, a
+        permutation of `v`."""
         if v == out_vars:
             return rows
+        return set(map(itemgetter(*(v.index(x) for x in out_vars)), rows))
+
+    def _spread(self, v, rows, out_vars):
         missing = [x for x in out_vars if x not in v]
+        if not missing:
+            return self._reorder(v, rows, out_vars)
         src = {x: i for i, x in enumerate(v)}
         out = set()
         for r in rows:

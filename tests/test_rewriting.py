@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cqelite import (
     ABox,
@@ -17,12 +18,14 @@ from cqelite import (
     parse_policy,
     parse_tbox,
     qib_entail,
+    qib_entail_bruteforce,
     qib_rewrite,
     qib_rewrite_report,
     serialize_fo,
     var,
 )
-from cqelite.model import And, AtomNode, Eq, Exists, Not, Or, TRUE, cq_to_fo, node_count
+from cqelite.model import And, AtomNode, Eq, Exists, Not, Or, TRUE, Truth, cq_to_fo, node_count
+from cqelite.rewriting import _Evaluator
 from cqelite.gen import random_bcq, random_fo_sentence, random_instance
 
 from conftest import q
@@ -79,39 +82,126 @@ def test_eval_fo_rejects_open_formulas():
         eval_fo(A("A", X), parse_abox("A(a)"))
 
 
+def naive_truth(node, abox, binding):
+    """Direct recursive evaluation with explicit assignments: the oracle for
+    the set-based evaluator."""
+    if isinstance(node, AtomNode):
+        ground = Atom(
+            node.atom.predicate,
+            tuple(binding.get(t, t) for t in node.atom.args),
+        )
+        return ground in abox.atoms
+    if isinstance(node, And):
+        return all(naive_truth(c, abox, binding) for c in node.children)
+    if isinstance(node, Or):
+        return any(naive_truth(c, abox, binding) for c in node.children)
+    if isinstance(node, Not):
+        return not naive_truth(node.body, abox, binding)
+    if isinstance(node, Exists):
+        return any(
+            naive_truth(node.body, abox, {**binding, node.variable: c})
+            for c in sorted(abox.constants())
+        )
+    if isinstance(node, Eq):
+        l = binding.get(node.left, node.left)
+        r = binding.get(node.right, node.right)
+        return l == r
+    return node.value
+
+
 def test_eval_fo_matches_bruteforce_on_randoms():
-    """Cross-check the set-based evaluator against direct recursive
-    evaluation with explicit assignments."""
-
-    def naive(node, abox, binding):
-        adom = sorted(abox.constants())
-        if isinstance(node, AtomNode):
-            ground = Atom(
-                node.atom.predicate,
-                tuple(binding.get(t, t) for t in node.atom.args),
-            )
-            return ground in abox.atoms
-        if isinstance(node, And):
-            return all(naive(c, abox, binding) for c in node.children)
-        if isinstance(node, Or):
-            return any(naive(c, abox, binding) for c in node.children)
-        if isinstance(node, Not):
-            return not naive(node.body, abox, binding)
-        if isinstance(node, Exists):
-            return any(
-                naive(node.body, abox, {**binding, node.variable: c}) for c in adom
-            )
-        if isinstance(node, Eq):
-            l = binding.get(node.left, node.left)
-            r = binding.get(node.right, node.right)
-            return l == r
-        return node.value
-
     rng = random.Random(5)
     for seed in range(120):
         t, _, a = random_instance(seed, n_atoms=5)
         sentence = random_fo_sentence(rng, t)
-        assert eval_fo(sentence, a) == naive(sentence, a, {}), (seed, sentence)
+        assert eval_fo(sentence, a) == naive_truth(sentence, a, {}), (seed, sentence)
+
+
+Z = var("Z")
+_CONSTS = [const("a"), const("b"), const("c")]
+_PREDS = [("A", 1), ("B", 1), ("R", 2), ("S", 2)]
+
+
+@st.composite
+def small_sentences(draw, depth=3):
+    """Sentences over A, B, R, S with equality and truth constants, whose
+    quantifiers may reuse a variable name and whose disjuncts may share
+    variables, in any order, or none."""
+
+    def term(bound):
+        return draw(st.sampled_from(bound + _CONSTS))
+
+    def go(depth, bound):
+        kinds = ["atom", "atom", "eq", "truth"]
+        if depth:
+            kinds += ["and", "or", "not", "exists", "exists"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "atom":
+            pred, arity = draw(st.sampled_from(_PREDS))
+            return AtomNode(Atom(pred, tuple(term(bound) for _ in range(arity))))
+        if kind == "eq":
+            return Eq(term(bound), term(bound))
+        if kind == "truth":
+            return Truth(draw(st.booleans()))
+        if kind == "not":
+            return Not(go(depth - 1, bound))
+        if kind == "exists":
+            v = draw(st.sampled_from([X, Y, Z]))
+            return Exists(v, go(depth - 1, bound + [v]))
+        children = tuple(go(depth - 1, bound) for _ in range(draw(st.integers(2, 3))))
+        return And(children) if kind == "and" else Or(children)
+
+    return go(depth, [])
+
+
+small_aboxes = st.sets(
+    st.sampled_from(
+        [Atom(p, (c,)) for p in ("A", "B") for c in _CONSTS[:2]]
+        + [Atom(p, (c, d)) for p in ("R", "S") for c in _CONSTS[:2] for d in _CONSTS[:2]]
+    ),
+    max_size=5,
+).map(ABox.of)
+
+
+def _xy(body):
+    return Exists(X, Exists(Y, body))
+
+
+# the shapes the set-based paths single out: swapped role columns under AND
+# and NOT, disjuncts over the same variables in another order, EXISTS over
+# variable-disjoint disjuncts, a repeated variable, and equality and truth nodes
+@settings(max_examples=150)
+@example(Exists(X, A("R", X, X)), parse_abox("R(a,b)"))
+@example(_xy(And((A("R", X, Y), Not(A("S", Y, X))))), parse_abox("R(a,b)\nS(b,a)"))
+@example(_xy(And((A("R", X, Y), A("S", Y, X)))), parse_abox("R(a,b)\nS(b,a)"))
+@example(_xy(And((Or((A("R", X, Y), A("S", Y, X))), Not(A("R", Y, X))))), parse_abox("S(a,b)"))
+@example(_xy(Or((A("A", X), A("B", Y)))), parse_abox("B(a)"))
+@example(_xy(Or((A("A", X), Exists(Z, A("R", Y, Z))))), parse_abox("R(a,b)"))
+@example(_xy(Or((A("A", X), TRUE))), parse_abox(""))
+@example(_xy(And((A("R", X, Y), Not(Eq(X, Y)), Not(Truth(False))))), parse_abox("R(a,a)"))
+@example(Exists(X, And((Eq(X, const("c")), TRUE))), parse_abox("A(a)"))
+@given(sentence=small_sentences(), abox=small_aboxes)
+def test_eval_fo_matches_bruteforce_on_drawn_sentences(sentence, abox):
+    for ab in (abox, ABox.of()):
+        assert eval_fo(sentence, ab) == naive_truth(sentence, ab, {})
+
+
+def test_eval_fo_disjoint_disjuncts_are_never_spread(monkeypatch):
+    """ROADMAP item 5: each disjunct is decided over its own variables, so
+    no rows over pairs of constants are built."""
+    spread = _Evaluator._spread
+
+    def no_fill(self, v, rows, out_vars):
+        missing = [x for x in out_vars if x not in v]
+        assert not missing, f"spread {v} over {missing}"
+        return spread(self, v, rows, out_vars)
+
+    monkeypatch.setattr(_Evaluator, "_spread", no_fill)
+    node = Exists(X, Exists(Y, Or((A("A", X), A("B", Y)))))
+    consts = [const(f"c{i}") for i in range(2000)]
+    only_a = ABox.of(Atom("A", (c,)) for c in consts)
+    only_b = ABox.of(Atom("B", (c,)) for c in consts)
+    assert [eval_fo(node, ab) for ab in (only_a, only_b, ABox.of())] == [True, True, False]
 
 
 # --- subsumption expansion ----------------------------------------------------------
@@ -269,6 +359,23 @@ def test_qib_rewrite_agreement_on_randoms():
         t, p, a = random_instance(seed, n_atoms=5)
         query = random_bcq(rng, t)
         assert eval_fo(qib_rewrite(query, t, p), a) == qib_entail(t, p, a, query), seed
+
+
+@given(
+    instance=st.builds(
+        lambda seed, n_atoms, n_consts: random_instance(seed, n_atoms=n_atoms, n_consts=n_consts),
+        st.integers(0, 10_000),
+        st.integers(0, 5),
+        st.integers(1, 4),
+    ),
+    query_seed=st.integers(0, 10_000),
+)
+def test_qib_semantic_rewriting_and_bruteforce_agree(instance, query_seed):
+    t, p, a = instance
+    query = random_bcq(random.Random(query_seed), t)
+    want = qib_entail_bruteforce(t, p, a, query)
+    assert qib_entail(t, p, a, query) == want
+    assert eval_fo(qib_rewrite(query, t, p), a) == want
 
 
 def test_qib_rewrite_checks_policy_precondition(supplier_tbox):
