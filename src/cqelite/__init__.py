@@ -63,6 +63,7 @@ from .censors import (
     SizeGuardError,
     enumerate_optimal_ga_censors,
     ib_entail,
+    ib_entail_bruteforce,
     iar_repair,
     opt_ga_censor,
     qib_entail,

@@ -7,21 +7,26 @@ ground atoms.  `opt_ga_censor` builds one greedily in a configurable order;
 query holds under every one of them (skeptical entailment).  `secrets`,
 `iar_repair` and `qib_entail` implement the tractable approximation: drop
 every atom that participates in some minimal policy-violating subset and
-query what is left.  `qib_entail_bruteforce` re-decides the approximation by
-raw subset enumeration and exists purely as a test oracle.
+query what is left.  `qib_entail_bruteforce` and `ib_entail_bruteforce`
+re-decide the two semantics by raw subset enumeration and by querying every
+enumerated censor; they exist purely as test oracles.
 
 The secrets form a hypergraph on the closure.  The closure is consistent
 and violation is monotone, so a subset of the closure is policy-safe iff it
-contains no secret; `secrets` and `opt_ga_censor` work on that hypergraph
-alone.  `enumerate_optimal_ga_censors` and `ib_entail` still run the full
+contains no secret, and the optimal censors are the atoms outside every
+secret plus one maximal independent set of the hypergraph.  `secrets`,
+`opt_ga_censor` and `ib_entail` work on that hypergraph alone;
+`ib_entail` searches for one censor that misses the query instead of
+enumerating them all.  `enumerate_optimal_ga_censors` still runs the full
 consistency and policy checks on candidate subsets, which makes the
-enumeration an independent oracle for the greedy censor."""
+enumeration an independent oracle for the greedy censor and for `ib`."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable, Iterator
 
 from .model import (
     ABox,
@@ -33,6 +38,7 @@ from .model import (
     atom_order_key,
 )
 from .reasoner import (
+    _Relations,
     _abox_relations,
     _entailed_unchecked,
     _homomorphisms,
@@ -116,16 +122,30 @@ def opt_ga_censor(
     contains one, so adding `alpha` is safe unless some secret holding
     `alpha` has all its other atoms kept already.  One pass over the secrets
     of each atom makes the walk linear in their total size."""
-    by_atom: dict[Atom, list[frozenset[Atom]]] = {}
-    for s in secrets(tbox, policy, abox):
-        for a in s:
-            by_atom.setdefault(a, []).append(s)
+    by_atom = _by_atom(secrets(tbox, policy, abox))
     closure = abox_closure(tbox, abox)
     kept: set[Atom] = set()
-    for alpha in order.arrange(closure.atoms):
+    _keep_greedily(kept, order.arrange(closure.atoms), by_atom)
+    return ABox(frozenset(kept))
+
+
+def _by_atom(secret_sets: Iterable[frozenset[Atom]]) -> dict[Atom, list[frozenset[Atom]]]:
+    """The secrets through each atom; its keys are the atoms in some secret."""
+    by_atom: dict[Atom, list[frozenset[Atom]]] = {}
+    for s in secret_sets:
+        for a in s:
+            by_atom.setdefault(a, []).append(s)
+    return by_atom
+
+
+def _keep_greedily(
+    kept: set[Atom], atoms: Iterable[Atom], by_atom: dict[Atom, list[frozenset[Atom]]]
+) -> None:
+    """Add each of `atoms` in turn to `kept` unless some secret through it
+    has all its other atoms kept already."""
+    for alpha in atoms:
         if not any(s - {alpha} <= kept for s in by_atom.get(alpha, ())):
             kept.add(alpha)
-    return ABox(frozenset(kept))
 
 
 def enumerate_optimal_ga_censors(
@@ -172,9 +192,111 @@ def enumerate_optimal_ga_censors(
 def ib_entail(
     tbox: TBox, policy: Policy, abox: ABox, q: ConjunctiveQuery, limit: int | None = None
 ) -> bool:
-    """Skeptical entailment: `q` must hold in every optimal censor theory."""
+    """Skeptical entailment: `q` must hold in every optimal censor theory.
+    Decided by searching the secret hypergraph for one optimal censor that
+    misses `q`; guarded by `limit` like the enumeration."""
+    return _counter_censor(tbox, policy, abox, q, limit) is None
+
+
+def ib_entail_bruteforce(
+    tbox: TBox, policy: Policy, abox: ABox, q: ConjunctiveQuery, limit: int | None = None
+) -> bool:
+    """Oracle for `ib_entail`: query every enumerated optimal censor."""
     censors = enumerate_optimal_ga_censors(tbox, policy, abox, limit)
     return all(cq_entailed(tbox, rep, q) for rep in censors)
+
+
+def _counter_censor(
+    tbox: TBox, policy: Policy, abox: ABox, q: ConjunctiveQuery, limit: int | None = None
+) -> ABox | None:
+    """An optimal censor that does not entail `q`, or None when every
+    optimal censor entails it.
+
+    The optimal censors are (closure - hidden) | M, where the hidden atoms
+    are those in some secret and M ranges over the maximal independent sets
+    of the secret hypergraph.  A censor entails `q` iff it contains a closure
+    image of some `perfect_ref` rewriting of `q`.  An image with no hidden
+    atom is in every censor; otherwise M must miss an atom of each image's
+    hidden part.  Maximality holds per connected component of the
+    hypergraph, so only the components that such a part touches are
+    searched, and the others are completed greedily."""
+    _require_consistent(tbox, abox)
+    limit = default_size_guard() if limit is None else limit
+    closure = abox_closure(tbox, abox)
+    if len(closure) > limit:
+        raise SizeGuardError(len(closure), limit)
+    by_atom = _by_atom(secrets(tbox, policy, abox))
+    rel = _abox_relations(closure)
+    parts: set[frozenset[Atom]] = set()
+    for rewritten in perfect_ref(q, tbox):
+        for image in _images(rewritten, rel):
+            part = frozenset(a for a in image if a in by_atom)
+            if not part:
+                return None
+            parts.add(part)
+
+    touched: set[Atom] = set()
+    stack = [a for part in parts for a in part]
+    while stack:
+        alpha = stack.pop()
+        if alpha not in touched:
+            touched.add(alpha)
+            for s in by_atom[alpha]:
+                stack.extend(s)
+    order = sorted(touched, key=atom_order_key)
+    bit = {a: 1 << i for i, a in enumerate(order)}
+
+    def mask(atoms: Iterable[Atom]) -> int:
+        return sum(bit[a] for a in atoms)
+
+    others = [[mask(s) & ~bit[a] for s in by_atom[a]] for a in order]
+    closing: list[list[int]] = [[] for _ in order]
+    for part in parts:
+        m = mask(part)
+        closing[m.bit_length() - 1].append(m)
+    found = _independent_set_avoiding(others, closing)
+    if found is None:
+        return None
+    kept = {a for a in order if found & bit[a]}
+    _keep_greedily(kept, sorted(by_atom.keys() - touched, key=atom_order_key), by_atom)
+    kept.update(closure.atoms - by_atom.keys())
+    return ABox(frozenset(kept))
+
+
+def _independent_set_avoiding(others: list[list[int]], closing: list[list[int]]) -> int | None:
+    """A maximal independent set of a hypergraph on atoms 0..n-1 that holds
+    no part wholly, as a bit mask, or None.
+
+    `others[i]` holds, for each edge through atom i, the mask of its other
+    atoms; `closing[i]` holds the parts whose highest atom is i.  The search
+    decides the atoms in order, trying to keep each before dropping it.  An
+    atom may be kept unless an edge through it has all its other atoms kept,
+    or keeping it completes a part.  It may be dropped only while some edge
+    through it has no other atom dropped, since a maximal set must block
+    every atom it leaves out; the leaves check that each one is blocked."""
+    n = len(others)
+    stack = [(0, 0, 0)]  # (next atom, kept mask, dropped mask)
+    while stack:
+        i, kept, dropped = stack.pop()
+        if i == n:
+            if all(any(o & kept == o for o in others[j]) for j in range(n) if dropped >> j & 1):
+                return kept
+            continue
+        here = 1 << i
+        if any(o & dropped == 0 for o in others[i]):
+            stack.append((i + 1, kept, dropped | here))
+        if not any(o & kept == o for o in others[i]) and all(
+            p & ~(kept | here) for p in closing[i]
+        ):
+            stack.append((i + 1, kept | here, dropped))
+    return None
+
+
+def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
+    """The image of `body` under each of its homomorphisms into `rel`."""
+    atoms = list(body.atoms)
+    for binding in _homomorphisms(atoms, rel, {}):
+        yield frozenset(Atom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in atoms)
 
 
 def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
@@ -192,12 +314,7 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
     images: set[frozenset[Atom]] = set()
     for d in policy.denials:
         for rewritten in perfect_ref(denial_query(d), tbox):
-            for binding in _homomorphisms(list(rewritten.atoms), rel, {}):
-                image = frozenset(
-                    Atom(a.predicate, tuple(binding.get(t, t) for t in a.args))
-                    for a in rewritten.atoms
-                )
-                images.add(image)
+            images.update(_images(rewritten, rel))
     return SecretSet(
         frozenset(
             s

@@ -239,25 +239,37 @@ def _entailed_facts(maps: _ClosureMaps, pred: str, args: tuple) -> Iterator[tupl
 
 
 class _Relations:
-    """Predicate-indexed store of argument tuples (over any term type)."""
+    """Predicate-indexed store of argument tuples (over any term type).
+
+    The index from a (predicate, position) pair's values to their rows is
+    built on the first lookup of that pair, so a store that is only scanned
+    or read whole never pays for it."""
 
     def __init__(self, facts: Iterable[tuple[str, tuple]]):
         self.by_pred: dict[str, list[tuple]] = {}
-        self.by_pred_pos: dict[tuple, list[tuple]] = {}
+        self._by_pos: dict[tuple[str, int], dict[object, list[tuple]]] = {}
         self._row_sets: dict[tuple[str, int], frozenset[tuple]] = {}
         for pred, args in facts:
             self.by_pred.setdefault(pred, []).append(args)
-        for pred, rows in self.by_pred.items():
-            for row in rows:
-                for i, v in enumerate(row):
-                    self.by_pred_pos.setdefault((pred, i, v), []).append(row)
+
+    def _index(self, pred: str, i: int) -> dict[object, list[tuple]]:
+        """The rows of `pred` by their value at position `i`, each list in
+        `by_pred` order."""
+        index = self._by_pos.get((pred, i))
+        if index is None:
+            index = {}
+            for row in self.by_pred.get(pred, ()):
+                if i < len(row):
+                    index.setdefault(row[i], []).append(row)
+            self._by_pos[(pred, i)] = index
+        return index
 
     def candidates(self, atom: Atom, binding: dict) -> Iterable[tuple]:
         best: Optional[list[tuple]] = None
         for i, t in enumerate(atom.args):
             v = t if t.is_const else binding.get(t)
             if v is not None:
-                rows = self.by_pred_pos.get((atom.predicate, i, v), [])
+                rows = self._index(atom.predicate, i).get(v, [])
                 if best is None or len(rows) < len(best):
                     best = rows
         if best is not None:

@@ -88,7 +88,8 @@ class _Evaluator:
     active domain.  Three things keep the sets small:
 
     - an atom over pairwise-distinct variables yields its predicate's
-      stored row set as it is (`_Relations.row_set`);
+      stored row set as it is (`_Relations.row_set`), and a ground atom is
+      a lookup in that set, so neither builds a position index;
     - conjuncts over the same variables are intersected, and a negated one
       is subtracted, after their columns are put in the same order;
       disjuncts that differ only in column order are re-ordered, not spread;
@@ -173,6 +174,8 @@ class _Evaluator:
         args = atom.args
         if all(t.is_var for t in args) and len(set(args)) == len(args):
             return args, self.rel.row_set(atom.predicate, atom.arity)
+        if all(t.is_const for t in args):
+            return (), ({()} if args in self.rel.row_set(atom.predicate, atom.arity) else set())
         out_vars: list[Term] = []
         for t in args:
             if t.is_var and t not in out_vars:

@@ -2,7 +2,7 @@ import random
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cqelite import (
     ABox,
@@ -16,6 +16,7 @@ from cqelite import (
     enumerate_optimal_ga_censors,
     iar_repair,
     ib_entail,
+    ib_entail_bruteforce,
     is_consistent,
     is_policy_consistent,
     opt_ga_censor,
@@ -26,7 +27,7 @@ from cqelite import (
     qib_entail_bruteforce,
     secrets,
 )
-from cqelite.censors import _keeps_policy
+from cqelite.censors import _counter_censor, _keeps_policy
 from cqelite.model import Policy
 from cqelite.gen import random_bcq, random_instance
 
@@ -219,6 +220,88 @@ def test_ib_entail_reduces_to_certain_when_nothing_hidden():
     a = parse_abox("A(c)")
     for query in (q("B(c)"), q("C(c)"), q("A(X), B(X)")):
         assert ib_entail(t, p, a, query) == cq_entailed(t, a, query)
+
+
+def test_ib_entail_matches_enumeration():
+    """`ib_entail` against querying every enumerated optimal censor; when it
+    says no, its counter-censor is an optimal censor that misses the query."""
+    sizes = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        instance=st.one_of(
+            st.builds(
+                lambda seed: random_instance(seed, n_atoms=8, n_consts=3), st.integers(0, 10_000)
+            ),
+            st.builds(chain_instance, st.integers(0, 10_000)),
+        ),
+        query_seed=st.integers(0, 10_000),
+    )
+    def check(instance, query_seed):
+        t, p, a = instance
+        assume(len(abox_closure(t, a)) <= 12)
+        sizes.extend(len(s) for s in secrets(t, p, a))
+        rng = random.Random(query_seed)
+        for query in [random_bcq(rng, t) for _ in range(3)]:
+            verdict = ib_entail(t, p, a, query)
+            assert verdict == ib_entail_bruteforce(t, p, a, query)
+            witness = _counter_censor(t, p, a, query)
+            assert (witness is None) == verdict
+            if witness is not None:
+                assert witness in enumerate_optimal_ga_censors(t, p, a)
+                assert not cq_entailed(t, witness, query)
+
+    check()
+    assert max(sizes) >= 3
+
+
+def test_ib_entail_counter_censor_search():
+    # secrets {A(c), B(c)} and {C(d), D(d)}: the censor keeping B(c) misses
+    # A(c), and the component the query does not touch is completed greedily
+    t = parse_tbox("")
+    p = parse_policy("denial :- A(X), B(X)\ndenial :- C(X), D(X)")
+    a = parse_abox("A(c)\nB(c)\nC(d)\nD(d)\nE(e)")
+    assert not ib_entail(t, p, a, q("A(c)"))
+    assert _counter_censor(t, p, a, q("A(c)")).atoms == atoms("B(c)\nC(d)\nE(e)")
+    assert ib_entail(t, p, a, q("E(e)"))
+    # every image is hidden, but every censor keeps one of them
+    p = parse_policy("denial :- R(X,Y), R(Y,X)")
+    a = parse_abox("R(c,d)\nR(d,c)")
+    assert ib_entail(t, p, a, q("R(X,Y)"))
+    assert not ib_entail(t, p, a, q("R(c,d)"))
+    assert _counter_censor(t, p, a, q("R(X,Y)")) is None
+    # a width-3 secret: the search may not keep both atoms of the query's image
+    p = parse_policy("denial :- A(X), B(X), C(X)")
+    a = parse_abox("A(c)\nB(c)\nC(c)")
+    assert not ib_entail(t, p, a, q("A(c), B(c)"))
+    assert _counter_censor(t, p, a, q("A(c), B(c)")).atoms == atoms("A(c)\nC(c)")
+
+
+def test_ib_entail_runs_no_policy_check():
+    # the counter-censor search stays on the secret hypergraph: a check of
+    # candidate censors against the policy would show up as cache traffic
+    t = parse_tbox("ProjA [= Supplier\nProjB [= Supplier")
+    p = parse_policy("denial :- ProjA(X), ProjB(X)")
+    a = parse_abox("ProjA(n1)\nProjB(n1)\nProjA(n2)\nProjB(n2)\nSupplier(n3)")
+    before = is_policy_consistent.cache_info()
+    assert ib_entail(t, p, a, q("Supplier(n1)"))
+    assert not ib_entail(t, p, a, q("ProjA(n1)"))
+    assert not ib_entail(t, p, a, q("ProjA(X), ProjB(Y)"))
+    after = is_policy_consistent.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_ib_entail_checks_consistency_before_the_size_guard():
+    t = parse_tbox("A [= -B")
+    p = parse_policy("denial :- A(X), C(X)")
+    inconsistent = parse_abox("A(c)\nB(c)\nC(d)\nC(e)")
+    big = parse_abox("A(c)\nC(d)\nC(e)\nC(f)\nC(g)\nC(h)")
+    for oracle in (ib_entail, ib_entail_bruteforce):
+        with pytest.raises(InconsistentOntologyError):
+            oracle(t, p, inconsistent, q("A(c)"), limit=1)
+        with pytest.raises(SizeGuardError):
+            oracle(t, p, big, q("A(c)"), limit=5)
+        assert oracle(t, p, big, q("C(d)"), limit=6)
 
 
 # --- secrets and repair -----------------------------------------------------------

@@ -196,6 +196,36 @@ def test_censor_size_guard_exit_4(capsys, tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "abox,code",
+    [
+        ("A(c)\nB(c)\nC(d)\nC(e)\n", 3),  # inconsistent and over the guard
+        ("A(c)\nC(d)\nC(e)\nC(f)\n", 4),
+        ("A(c)\nC(d)\n", 0),
+    ],
+)
+def test_entail_ib_consistency_before_size_guard(capsys, tmp_path, abox, code):
+    (tmp_path / "t.txt").write_text("A [= -B\n")
+    (tmp_path / "a.txt").write_text(abox)
+    (tmp_path / "p.txt").write_text("denial :- A(X), C(X)\n")
+    (tmp_path / "q.txt").write_text("q :- C(d)\n")
+    argv = [
+        "entail",
+        "--tbox", str(tmp_path / "t.txt"),
+        "--abox", str(tmp_path / "a.txt"),
+        "--policy", str(tmp_path / "p.txt"),
+        "--query", str(tmp_path / "q.txt"),
+        "--semantics", "ib",
+        "--limit", "3",
+    ]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    if code:
+        assert out == ""
+    else:
+        assert json.loads(out)["entailed"] is True
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_cqe_limit_exit_2(files, capsys, monkeypatch, value):
     monkeypatch.setenv("CQE_LIMIT", value)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cqelite import (
     ABox,
@@ -25,7 +26,7 @@ from cqelite import (
     var,
 )
 from cqelite.model import ConjunctiveQuery, RoleExpr
-from cqelite.reasoner import Null, _canonical_cq, chase_satisfies, concept_atom
+from cqelite.reasoner import Null, _Relations, _canonical_cq, chase_satisfies, concept_atom
 from cqelite.gen import random_bcq, random_instance
 
 from conftest import q
@@ -268,6 +269,19 @@ def test_policy_violated_by_anonymous_edge():
     assert not is_policy_consistent(t, p, a)
 
 
+def test_relations_index_positions_on_first_lookup():
+    a, b, c = const("a"), const("b"), const("c")
+    rel = _Relations([("R", (a, b)), ("R", (c, b)), ("A", (a,)), ("R", (a, c))])
+    assert rel._by_pos == {}
+    assert rel.row_set("R", 2) == {(a, b), (c, b), (a, c)}
+    assert rel._by_pos == {}
+    # each candidate list keeps the order the rows were stored in
+    assert rel.candidates(Atom("R", (var("X"), b)), {}) == [(a, b), (c, b)]
+    assert rel.candidates(Atom("R", (var("X"), var("Y"))), {var("X"): a}) == [(a, b), (a, c)]
+    assert rel.candidates(Atom("A", (c,)), {}) == []
+    assert set(rel._by_pos) == {("R", 1), ("R", 0), ("A", 0)}
+
+
 # --- chase -------------------------------------------------------------------
 
 
@@ -321,3 +335,17 @@ def test_perfect_ref_agrees_with_chase_on_randoms():
         t, _, a = random_instance(seed, n_atoms=6)
         query = random_bcq(rng, t)
         assert cq_entailed(t, a, query) == chase_entails(t, a, query), (seed, query)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_atoms=st.integers(0, 6),
+    n_consts=st.integers(1, 4),
+    n_roles=st.integers(0, 2),
+    query_seed=st.integers(0, 10_000),
+)
+def test_cq_entailed_matches_chase_on_drawn_instances(seed, n_atoms, n_consts, n_roles, query_seed):
+    t, _, a = random_instance(seed, n_roles=n_roles, n_atoms=n_atoms, n_consts=n_consts)
+    query = random_bcq(random.Random(query_seed), t, n_consts=n_consts)
+    assert cq_entailed(t, a, query) == chase_entails(t, a, query)
