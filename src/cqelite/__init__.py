@@ -24,7 +24,6 @@ from .model import (
     Policy,
     RoleExpr,
     RoleInclusion,
-    SecretSet,
     TBox,
     Term,
     Truth,

@@ -26,22 +26,20 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .model import (
     ABox,
     Atom,
     ConjunctiveQuery,
     Policy,
-    SecretSet,
     TBox,
     atom_order_key,
 )
 from .reasoner import (
-    _Relations,
     _abox_relations,
     _entailed_unchecked,
-    _homomorphisms,
+    _images,
     _require_consistent,
     abox_closure,
     cq_entailed,
@@ -104,6 +102,18 @@ class AtomOrder:
         return list(self.atoms)
 
 
+def _guarded_closure(tbox: TBox, abox: ABox, limit: int | None) -> ABox:
+    """The closure, for an exponential procedure: the inputs must be
+    consistent, and then the closure must be within `limit` atoms (by
+    default the size guard)."""
+    _require_consistent(tbox, abox)
+    limit = default_size_guard() if limit is None else limit
+    closure = abox_closure(tbox, abox)
+    if len(closure) > limit:
+        raise SizeGuardError(len(closure), limit)
+    return closure
+
+
 def _keeps_policy(tbox: TBox, policy: Policy, atoms: frozenset[Atom]) -> bool:
     candidate = ABox(atoms)
     return is_consistent(tbox, candidate) and is_policy_consistent(tbox, policy, candidate)
@@ -153,11 +163,7 @@ def enumerate_optimal_ga_censors(
 ) -> frozenset[ABox]:
     """All maximal policy-consistent subsets of the closure.  Exponential in
     the worst case; guarded by `limit` (default 24 closure atoms)."""
-    _require_consistent(tbox, abox)
-    limit = default_size_guard() if limit is None else limit
-    closure = abox_closure(tbox, abox)
-    if len(closure) > limit:
-        raise SizeGuardError(len(closure), limit)
+    closure = _guarded_closure(tbox, abox, limit)
 
     atoms = sorted(closure.atoms, key=atom_order_key)
     suffixes = [frozenset(atoms[i:]) for i in range(len(atoms) + 1)]
@@ -220,11 +226,7 @@ def _counter_censor(
     hidden part.  Maximality holds per connected component of the
     hypergraph, so only the components that such a part touches are
     searched, and the others are completed greedily."""
-    _require_consistent(tbox, abox)
-    limit = default_size_guard() if limit is None else limit
-    closure = abox_closure(tbox, abox)
-    if len(closure) > limit:
-        raise SizeGuardError(len(closure), limit)
+    closure = _guarded_closure(tbox, abox, limit)
     by_atom = _by_atom(secrets(tbox, policy, abox))
     rel = _abox_relations(closure)
     parts: set[frozenset[Atom]] = set()
@@ -292,14 +294,7 @@ def _independent_set_avoiding(others: list[list[int]], closing: list[list[int]])
     return None
 
 
-def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
-    """The image of `body` under each of its homomorphisms into `rel`."""
-    atoms = list(body.atoms)
-    for binding in _homomorphisms(atoms, rel, {}):
-        yield frozenset(Atom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in atoms)
-
-
-def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
+def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]]:
     """All minimal closure subsets inconsistent with the TBox and policy.
 
     Every homomorphic image of a rewritten denial body is such a violating
@@ -315,14 +310,10 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> SecretSet:
     for d in policy.denials:
         for rewritten in perfect_ref(denial_query(d), tbox):
             images.update(_images(rewritten, rel))
-    return SecretSet(
-        frozenset(
-            s
-            for s in images
-            if not any(
-                frozenset(c) in images for r in range(len(s)) for c in combinations(s, r)
-            )
-        )
+    return frozenset(
+        s
+        for s in images
+        if not any(frozenset(c) in images for r in range(len(s)) for c in combinations(s, r))
     )
 
 
@@ -330,7 +321,7 @@ def iar_repair(tbox: TBox, policy: Policy, abox: ABox) -> ABox:
     """The closure minus every atom that occurs in some secret; equals the
     intersection of all maximal policy-consistent subsets."""
     closure = abox_closure(tbox, abox)
-    hidden = secrets(tbox, policy, abox).union()
+    hidden = frozenset().union(*secrets(tbox, policy, abox))
     return ABox(closure.atoms - hidden)
 
 
@@ -344,17 +335,11 @@ def qib_entail_bruteforce(
 ) -> bool:
     """Oracle for `qib_entail`: search for a closure subset that entails the
     query while avoiding every secret, by plain subset enumeration."""
-    _require_consistent(tbox, abox)
-    limit = default_size_guard() if limit is None else limit
-    closure = abox_closure(tbox, abox)
-    if len(closure) > limit:
-        raise SizeGuardError(len(closure), limit)
+    closure = _guarded_closure(tbox, abox, limit)
     atoms = sorted(closure.atoms, key=atom_order_key)
-    secret_sets = secrets(tbox, policy, abox).secrets
-
     forbidden = 0
     index = {a: i for i, a in enumerate(atoms)}
-    for s in secret_sets:
+    for s in secrets(tbox, policy, abox):
         for a in s:
             forbidden |= 1 << index[a]
 

@@ -80,11 +80,13 @@ class _Inputs:
         check_signature(self.tbox, *others)
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
+def _emit(args, payload: dict, text: str) -> None:
+    """Write the result: one JSON line, or `text` as it is under --format
+    text."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(text if text is not None else json.dumps(payload, sort_keys=True))
+        sys.stdout.write(text)
 
 
 def cmd_consistency(args) -> int:
@@ -97,7 +99,7 @@ def cmd_consistency(args) -> int:
     _emit(
         args,
         payload,
-        f"tbox_abox_consistent: {ok}\npolicy_consistent: {policy_ok}",
+        f"tbox_abox_consistent: {ok}\npolicy_consistent: {policy_ok}\n",
     )
     return EXIT_OK
 
@@ -106,26 +108,17 @@ def cmd_closure(args) -> int:
     inp = _Inputs(args)
     closure = abox_closure(inp.tbox, inp.abox)
     text = serialize_abox(closure)
-    payload = {"atoms": [line for line in text.splitlines()]}
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        sys.stdout.write(text)
+    _emit(args, {"atoms": text.splitlines()}, text)
     return EXIT_OK
 
 
 def _load_order(args) -> AtomOrder:
     if args.order_file:
         # line order matters, so parse one atom per line
-        try:
-            text = Path(args.order_file).read_text()
-        except OSError as exc:
-            raise ParseError("order", 1, 1, f"cannot read {args.order_file}: {exc.strerror or exc}")
         ordered = []
-        for ln in text.splitlines():
+        for ln in _read(args.order_file, "order", str.splitlines):
             if ln.split("#", 1)[0].strip():
-                single = parse_abox(ln)
-                ordered.extend(single.atoms)
+                ordered.extend(parse_abox(ln).atoms)
         return AtomOrder.explicit(ordered)
     return AtomOrder.lex()
 
@@ -141,19 +134,12 @@ def cmd_censor(args) -> int:
             "censors": [r.splitlines() for r in rendered],
             "count": len(rendered),
         }
-        if args.format == "json":
-            print(json.dumps(payload, sort_keys=True))
-        else:
-            sys.stdout.write("\n".join(rendered))
+        _emit(args, payload, "\n".join(rendered))
         return EXIT_OK
     order = _load_order(args)
     censor = opt_ga_censor(inp.tbox, inp.policy, inp.abox, order)
     text = serialize_abox(censor)
-    payload = {"censor": text.splitlines(), "order": order.kind}
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        sys.stdout.write(text)
+    _emit(args, {"censor": text.splitlines(), "order": order.kind}, text)
     return EXIT_OK
 
 
@@ -178,7 +164,7 @@ def cmd_entail(args) -> int:
         "entailed": verdict,
         "elapsed_ms": elapsed_ms,
     }
-    _emit(args, payload, f"entailed: {verdict}")
+    _emit(args, payload, f"entailed: {verdict}\n")
     return EXIT_OK
 
 
@@ -197,14 +183,15 @@ def cmd_rewrite(args) -> int:
             "node_count": report.node_count,
         },
     }
-    if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(fo_text)
-        print(f"# input_query: {report.input_query}")
-        print(f"# perfect_ref_size: {report.perfect_ref_size}")
-        print(f"# guard_count: {report.guard_count}")
-        print(f"# node_count: {report.node_count}")
+    _emit(
+        args,
+        payload,
+        f"{fo_text}\n"
+        f"# input_query: {report.input_query}\n"
+        f"# perfect_ref_size: {report.perfect_ref_size}\n"
+        f"# guard_count: {report.guard_count}\n"
+        f"# node_count: {report.node_count}\n",
+    )
     return EXIT_OK
 
 
@@ -227,7 +214,7 @@ def cmd_gen(args) -> int:
     for name, text in files.items():
         (out / name).write_text(text)
     payload = {"seed": args.seed, "files": sorted(str(out / n) for n in files)}
-    _emit(args, payload, "\n".join(payload["files"]))
+    _emit(args, payload, "".join(f + "\n" for f in payload["files"]))
     return EXIT_OK
 
 

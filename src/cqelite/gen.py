@@ -135,8 +135,7 @@ def random_policy(
         body = frozenset(
             _random_body_atom(rng, tbox, variables, consts) for _ in range(size)
         )
-        if body:
-            denials.add(Denial(body))
+        denials.add(Denial(body))
     return Policy(frozenset(denials))
 
 

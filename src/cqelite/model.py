@@ -1,4 +1,4 @@
-"""Immutable core types: ontologies, policies, queries, secrets.
+"""Immutable core types: ontologies, policies, queries, FO formulas.
 
 All types are frozen dataclasses with value semantics, so they can be used
 as dict keys and set members and shared freely across threads.  A single
@@ -79,10 +79,6 @@ class Atom:
     @property
     def arity(self) -> int:
         return len(self.args)
-
-    @property
-    def is_ground(self) -> bool:
-        return all(t.is_const for t in self.args)
 
     def variables(self) -> frozenset[Term]:
         return frozenset(t for t in self.args if t.is_var)
@@ -236,8 +232,8 @@ class ABox:
     atoms: frozenset[Atom]
 
     def __post_init__(self):
-        # a plain loop over the args costs about half of `Atom.is_ground`,
-        # and every new ABox value pays it
+        # a plain loop comparing kinds, not a call per term: every new ABox
+        # value pays for this check
         for a in self.atoms:
             for t in a.args:
                 if t.kind != CONST:
@@ -294,9 +290,6 @@ class Policy:
 
     def __len__(self):
         return len(self.denials)
-
-
-EMPTY_POLICY = Policy(frozenset())
 
 
 @dataclass(frozen=True)
@@ -434,19 +427,3 @@ def node_count(node: FONode) -> int:
 def cq_to_fo(q: ConjunctiveQuery) -> FONode:
     body = fo_and([AtomNode(a) for a in q.sorted_atoms()])
     return fo_exists(sorted(q.variables), body)
-
-
-@dataclass(frozen=True)
-class SecretSet:
-    """The minimal closure subsets that clash with the TBox and policy."""
-
-    secrets: frozenset[frozenset[Atom]]
-
-    def __iter__(self) -> Iterator[frozenset[Atom]]:
-        return iter(self.secrets)
-
-    def __len__(self):
-        return len(self.secrets)
-
-    def union(self) -> frozenset[Atom]:
-        return frozenset().union(*self.secrets)

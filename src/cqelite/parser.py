@@ -203,6 +203,27 @@ def _roleexpr(line: _Line) -> RoleExpr:
     return RoleExpr(name.text)
 
 
+def _inclusion(line: _Line, side, arities: _Arities) -> tuple:
+    """The `lhs [= [-]rhs` rest of a TBox line, each side read by `side`:
+    (lhs, rhs, negated)."""
+
+    def expr():
+        col = line.peek().col
+        x = side(line)
+        arity = 1 if isinstance(x, BasicConcept) and x.kind == "atomic" else 2
+        arities.record(line, x.name, arity, col)
+        return x
+
+    lhs = expr()
+    line.expect("[=", "'[='")
+    negated = line.peek().kind == "-"
+    if negated:
+        line.next()
+    rhs = expr()
+    line.end()
+    return lhs, rhs, negated
+
+
 def parse_tbox(text: str) -> TBox:
     """Parse inclusion and disjointness axioms; the signature is inferred."""
     axioms = []
@@ -211,33 +232,9 @@ def parse_tbox(text: str) -> TBox:
         t = line.peek()
         if t.kind == "ident" and t.text == "role" and line.peek(1).kind == "ident":
             line.next()
-            lcol = line.peek().col
-            lhs = _roleexpr(line)
-            arities.record(line, lhs.name, 2, lcol)
-            line.expect("[=", "'[='")
-            negated = False
-            if line.peek().kind == "-":
-                line.next()
-                negated = True
-            rcol = line.peek().col
-            rhs = _roleexpr(line)
-            arities.record(line, rhs.name, 2, rcol)
-            line.end()
-            axioms.append(RoleInclusion(lhs, rhs, negated))
-            continue
-        lcol = line.peek().col
-        lhs = _basic(line)
-        arities.record(line, lhs.name, 1 if lhs.kind == "atomic" else 2, lcol)
-        line.expect("[=", "'[='")
-        negated = False
-        if line.peek().kind == "-":
-            line.next()
-            negated = True
-        rcol = line.peek().col
-        rhs = _basic(line)
-        arities.record(line, rhs.name, 1 if rhs.kind == "atomic" else 2, rcol)
-        line.end()
-        axioms.append(ConceptInclusion(lhs, rhs, negated))
+            axioms.append(RoleInclusion(*_inclusion(line, _roleexpr, arities)))
+        else:
+            axioms.append(ConceptInclusion(*_inclusion(line, _basic, arities)))
     return TBox.of(axioms)
 
 
@@ -254,53 +251,37 @@ def parse_abox(text: str) -> ABox:
     return ABox(frozenset(atoms))
 
 
+def _rule_body(line: _Line, head: str, arities: _Arities) -> frozenset[Atom]:
+    """The atoms of a `head :- atom, ..., atom` line."""
+    t = line.ident(f"'{head}'")
+    if t.text != head:
+        line.error(f"{line.kind} lines must start with '{head}'", t)
+    line.expect(":-", "':-'")
+    body = []
+    while True:
+        col = line.peek().col
+        atom = _atom(line, ground=False)
+        arities.record(line, atom.predicate, atom.arity, col)
+        body.append(atom)
+        if line.peek().kind != ",":
+            break
+        line.next()
+    line.end()
+    return frozenset(body)
+
+
 def parse_policy(text: str) -> Policy:
     """Parse denial assertions of the form `denial :- atom, ..., atom`."""
-    denials = set()
     arities = _Arities("policy")
-    for line in _lines("policy", text):
-        head = line.ident("'denial'")
-        if head.text != "denial":
-            line.error("policy lines must start with 'denial'", head)
-        line.expect(":-", "':-'")
-        body = []
-        while True:
-            col = line.peek().col
-            atom = _atom(line, ground=False)
-            arities.record(line, atom.predicate, atom.arity, col)
-            body.append(atom)
-            if line.peek().kind != ",":
-                break
-            line.next()
-        line.end()
-        if not body:
-            line.error("denial body must be non-empty")
-        denials.add(Denial(frozenset(body)))
-    return Policy(frozenset(denials))
+    return Policy(
+        frozenset(Denial(_rule_body(line, "denial", arities)) for line in _lines("policy", text))
+    )
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse a single Boolean conjunctive query `q :- atom, ..., atom`."""
-    queries = []
     arities = _Arities("query")
-    for line in _lines("query", text):
-        head = line.ident("'q'")
-        if head.text != "q":
-            line.error("query lines must start with 'q'", head)
-        line.expect(":-", "':-'")
-        body = []
-        while True:
-            col = line.peek().col
-            atom = _atom(line, ground=False)
-            arities.record(line, atom.predicate, atom.arity, col)
-            body.append(atom)
-            if line.peek().kind != ",":
-                break
-            line.next()
-        line.end()
-        if not body:
-            line.error("query body must be non-empty")
-        queries.append(ConjunctiveQuery(frozenset(body)))
+    queries = [ConjunctiveQuery(_rule_body(line, "q", arities)) for line in _lines("query", text)]
     if not queries:
         raise ParseError("query", 1, 1, "expected a query line")
     if len(queries) > 1:
@@ -309,48 +290,29 @@ def parse_query(text: str) -> ConjunctiveQuery:
 
 
 # --- serialization ----------------------------------------------------------
-
-
-def _render_basic(b: BasicConcept) -> str:
-    if b.kind == "atomic":
-        return b.name
-    return f"ex {b.name}" + ("-" if b.kind == "exists_inv" else "")
-
-
-def _render_roleexpr(r: RoleExpr) -> str:
-    return r.name + ("-" if r.inverse else "")
-
-
-def _render_atom(a: Atom) -> str:
-    return f"{a.predicate}({','.join(t.name for t in a.args)})"
+#
+# The model types render as the grammar: the repr of an atom, a basic
+# concept, a role expression or an axiom is its text in these formats.
 
 
 def serialize_tbox(tbox: TBox) -> str:
-    lines = []
-    for ax in tbox.axioms:
-        if isinstance(ax, ConceptInclusion):
-            neg = "-" if ax.negated else ""
-            lines.append(f"{_render_basic(ax.lhs)} [= {neg}{_render_basic(ax.rhs)}")
-        else:
-            neg = "-" if ax.negated else ""
-            lines.append(f"role {_render_roleexpr(ax.lhs)} [= {neg}{_render_roleexpr(ax.rhs)}")
-    return "".join(line + "\n" for line in sorted(lines))
+    return "".join(line + "\n" for line in sorted(repr(ax) for ax in tbox.axioms))
 
 
 def serialize_abox(abox: ABox) -> str:
-    return "".join(_render_atom(a) + "\n" for a in abox.sorted_atoms())
+    return "".join(repr(a) + "\n" for a in abox.sorted_atoms())
 
 
 def serialize_policy(policy: Policy) -> str:
     lines = []
     for d in policy.denials:
-        body = ", ".join(_render_atom(a) for a in d.sorted_body())
+        body = ", ".join(repr(a) for a in d.sorted_body())
         lines.append(f"denial :- {body}")
     return "".join(line + "\n" for line in sorted(lines))
 
 
 def serialize_query(q: ConjunctiveQuery) -> str:
-    body = ", ".join(_render_atom(a) for a in q.sorted_atoms())
+    body = ", ".join(repr(a) for a in q.sorted_atoms())
     return f"q :- {body}\n"
 
 
@@ -361,7 +323,7 @@ def serialize_fo(node: FONode) -> str:
 
 def _render_fo(node: FONode, top: bool = False) -> str:
     if isinstance(node, AtomNode):
-        return _render_atom(node.atom)
+        return repr(node.atom)
     if isinstance(node, Truth):
         return "TRUE" if node.value else "FALSE"
     if isinstance(node, Eq):

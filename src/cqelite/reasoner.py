@@ -1,19 +1,21 @@
 """Core reasoning for DL-Lite-style ontologies.
 
 The pieces fit together like this: `saturate_tbox` closes the inclusion
-axioms into full subsumption / disjointness relations; `perfect_ref` rewrites
-a conjunctive query into a union of queries whose plain evaluation over the
-raw data coincides with certain-answer entailment; `abox_closure` materializes
-every entailed ground atom over the data constants; `is_consistent` checks
-that no entailed disjointness is witnessed.  `chase_bounded` builds a
-truncated canonical model and serves as an independent entailment oracle for
-validating the rewriting.
+axioms into full subsumption / disjointness relations, found by
+reachability over the signature, and its result also indexes the
+subsumptions by either side for the closure, the chase and the rewriting;
+`perfect_ref` rewrites a conjunctive query into a union of queries whose
+plain evaluation over the raw data coincides with certain-answer
+entailment; `abox_closure` materializes every entailed ground atom over the
+data constants; `is_consistent` checks that no entailed disjointness is
+witnessed.  `chase_bounded` builds a truncated canonical model and serves
+as an independent entailment oracle for validating the rewriting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 from .model import (
@@ -41,159 +43,113 @@ class InclusionClosure:
 
     `concept_subs` contains (X, Y) iff every instance of X must be an
     instance of Y; disjointness pairs are unordered (frozensets of size 1
-    encode an unsatisfiable expression)."""
+    encode an unsatisfiable expression).  The four maps index the
+    subsumptions by either side, each list sorted; they are built on first
+    use and live as long as the closure."""
 
     concept_subs: frozenset[tuple[BasicConcept, BasicConcept]]
     role_subs: frozenset[tuple[RoleExpr, RoleExpr]]
     disjoint_concepts: frozenset[frozenset[BasicConcept]]
     disjoint_roles: frozenset[frozenset[RoleExpr]]
 
+    @cached_property
+    def concept_subsumers(self) -> dict[BasicConcept, list[BasicConcept]]:
+        return _sorted_map(self.concept_subs)
+
+    @cached_property
+    def concept_subsumees(self) -> dict[BasicConcept, list[BasicConcept]]:
+        return _sorted_map((y, x) for (x, y) in self.concept_subs)
+
+    @cached_property
+    def role_subsumers(self) -> dict[RoleExpr, list[RoleExpr]]:
+        return _sorted_map(self.role_subs)
+
+    @cached_property
+    def role_subsumees(self) -> dict[RoleExpr, list[RoleExpr]]:
+        return _sorted_map((y, x) for (x, y) in self.role_subs)
+
+
+def _sorted_map(pairs: Iterable[tuple]) -> dict:
+    out: dict = {}
+    for x, y in pairs:
+        out.setdefault(x, []).append(y)
+    for ys in out.values():
+        ys.sort()
+    return out
+
+
+def _reach(starts: Iterable, edges: dict) -> set:
+    """The nodes reachable from `starts` along `edges`, `starts` included."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for y in edges.get(stack.pop(), ()):
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
 
 @lru_cache(maxsize=4096)
 def saturate_tbox(tbox: TBox) -> InclusionClosure:
-    """Close the TBox under reflexivity, transitivity, inverse propagation,
-    and inheritance of disjointness; unsatisfiable expressions subsume (and
-    are disjoint from) everything."""
-    basics = set(tbox.basic_concepts())
-    roles = set(tbox.role_exprs())
+    """The TBox closure, computed by reachability.  The TBox's signature
+    must cover its axioms, as `TBox.of` ensures.
 
-    pos_c: set[tuple[BasicConcept, BasicConcept]] = {(b, b) for b in basics}
-    pos_r: set[tuple[RoleExpr, RoleExpr]] = {(r, r) for r in roles}
-    neg_c: set[frozenset[BasicConcept]] = set()
-    neg_r: set[frozenset[RoleExpr]] = set()
+    - Subsumption is the reflexive-transitive closure, over the signature,
+      of the positive inclusions; a role inclusion r [= s is also read as
+      r- [= s- and as ex r [= ex s, which gives the ranges through the
+      inverses.
+    - Disjointness is each negative inclusion, a role one also read on the
+      inverses, inherited by every pair of subsumees.
+    - An expression is unsatisfiable when it is disjoint from itself, and
+      then so is each of its subsumees, and a role is unsatisfiable iff its
+      domain and range are.  An unsatisfiable expression is subsumed by, and
+      disjoint from, every expression of its kind.
 
+    Those vacuous pairs are added last: each has an unsatisfiable left side,
+    so no rule above applied to one yields a pair that is not itself
+    vacuous or already derived."""
+    basics = tbox.basic_concepts()
+    roles = tbox.role_exprs()
+    # concepts and roles are the nodes of one graph; only the links that
+    # carry unsatisfiability, below, join the two kinds
+    up: dict = {x: set() for x in basics + roles}
+    negative: list[tuple] = []
     for ax in tbox.axioms:
-        if isinstance(ax, ConceptInclusion):
+        pairs = [(ax.lhs, ax.rhs)]
+        if isinstance(ax, RoleInclusion):
+            pairs.append((ax.lhs.inverted(), ax.rhs.inverted()))
+        for x, y in pairs:
             if ax.negated:
-                neg_c.add(frozenset((ax.lhs, ax.rhs)))
+                negative.append((x, y))
             else:
-                pos_c.add((ax.lhs, ax.rhs))
-        else:
-            if ax.negated:
-                neg_r.add(frozenset((ax.lhs, ax.rhs)))
-            else:
-                pos_r.add((ax.lhs, ax.rhs))
+                up[x].add(y)
+                if isinstance(ax, RoleInclusion):
+                    up[x.domain()].add(y.domain())
+    subs = {(x, y) for x in up for y in _reach((x,), up)}
 
-    changed = True
-    while changed:
-        changed = False
+    down: dict = {}
+    for x, y in subs:
+        down.setdefault(y, []).append(x)
+    disjoint = {frozenset((x, y)) for a, b in negative for x in down[a] for y in down[b]}
 
-        for (r, s) in list(pos_r):
-            for pair in ((r.inverted(), s.inverted()),):
-                if pair not in pos_r:
-                    pos_r.add(pair)
-                    changed = True
-            for pair in ((r.domain(), s.domain()), (r.range(), s.range())):
-                if pair not in pos_c:
-                    pos_c.add(pair)
-                    changed = True
+    # unsatisfiability passes down subsumption and between a role and the
+    # domains of it and its inverse (the domain of r- is the range of r)
+    for r in roles:
+        down[r].extend((r.domain(), r.range()))
+        down[r.domain()].append(r)
+    unsat = _reach((x for p in disjoint if len(p) == 1 for x in p), down)
+    for x in unsat:
+        for y in roles if isinstance(x, RoleExpr) else basics:
+            subs.add((x, y))
+            disjoint.add(frozenset((x, y)))
 
-        for rel in (pos_c, pos_r):
-            by_lhs: dict = {}
-            for (x, y) in rel:
-                by_lhs.setdefault(y, []).append(x)
-            new = set()
-            for (x, y) in rel:
-                for w in by_lhs.get(x, ()):
-                    if (w, y) not in rel:
-                        new.add((w, y))
-            if new:
-                rel |= new
-                changed = True
+    def split(items: set) -> tuple[frozenset, frozenset]:
+        concepts = frozenset(p for p in items if isinstance(next(iter(p)), BasicConcept))
+        return concepts, frozenset(items) - concepts
 
-        # disjointness inherited along positive subsumption
-        for neg, pos in ((neg_c, pos_c), (neg_r, pos_r)):
-            subs_of: dict = {}
-            for (x, y) in pos:
-                subs_of.setdefault(y, []).append(x)
-            new = set()
-            for pair in neg:
-                items = tuple(pair)
-                x = items[0]
-                y = items[-1]
-                for x2 in subs_of.get(x, ()):
-                    for y2 in subs_of.get(y, ()):
-                        p = frozenset((x2, y2))
-                        if p not in neg:
-                            new.add(p)
-            if new:
-                neg |= new
-                changed = True
-
-        for pair in list(neg_r):
-            items = tuple(pair)
-            p = frozenset((items[0].inverted(), items[-1].inverted()))
-            if p not in neg_r:
-                neg_r.add(p)
-                changed = True
-
-        # an empty role has empty domain and range, and vice versa
-        for r in roles:
-            if frozenset((r,)) in neg_r:
-                for c in (r.domain(), r.range()):
-                    p = frozenset((c,))
-                    if p not in neg_c:
-                        neg_c.add(p)
-                        changed = True
-        for r in roles:
-            if frozenset((r.domain(),)) in neg_c and frozenset((r,)) not in neg_r:
-                neg_r.add(frozenset((r,)))
-                changed = True
-
-        # unsatisfiable expressions entail everything vacuously
-        for b in basics:
-            if frozenset((b,)) in neg_c:
-                for y in basics:
-                    if (b, y) not in pos_c:
-                        pos_c.add((b, y))
-                        changed = True
-                    p = frozenset((b, y))
-                    if p not in neg_c:
-                        neg_c.add(p)
-                        changed = True
-        for r in roles:
-            if frozenset((r,)) in neg_r:
-                for s in roles:
-                    if (r, s) not in pos_r:
-                        pos_r.add((r, s))
-                        changed = True
-                    p = frozenset((r, s))
-                    if p not in neg_r:
-                        neg_r.add(p)
-                        changed = True
-
-    return InclusionClosure(
-        frozenset(pos_c), frozenset(pos_r), frozenset(neg_c), frozenset(neg_r)
-    )
-
-
-class _ClosureMaps:
-    """Lookup tables derived from an InclusionClosure."""
-
-    def __init__(self, closure: InclusionClosure):
-        self.concept_subsumers: dict[BasicConcept, list[BasicConcept]] = {}
-        self.concept_subsumees: dict[BasicConcept, list[BasicConcept]] = {}
-        for (x, y) in closure.concept_subs:
-            self.concept_subsumers.setdefault(x, []).append(y)
-            self.concept_subsumees.setdefault(y, []).append(x)
-        self.role_subsumers: dict[RoleExpr, list[RoleExpr]] = {}
-        self.role_subsumees: dict[RoleExpr, list[RoleExpr]] = {}
-        for (x, y) in closure.role_subs:
-            self.role_subsumers.setdefault(x, []).append(y)
-            self.role_subsumees.setdefault(y, []).append(x)
-        for m in (
-            self.concept_subsumers,
-            self.concept_subsumees,
-            self.role_subsumers,
-            self.role_subsumees,
-        ):
-            for k in m:
-                m[k].sort()
-
-
-@lru_cache(maxsize=4096)
-def _closure_maps(tbox: TBox) -> _ClosureMaps:
-    return _ClosureMaps(saturate_tbox(tbox))
+    (concept_subs, role_subs), (disjoint_concepts, disjoint_roles) = split(subs), split(disjoint)
+    return InclusionClosure(concept_subs, role_subs, disjoint_concepts, disjoint_roles)
 
 
 def concept_atom(b: BasicConcept, t: Term, side: Term) -> Atom:
@@ -222,7 +178,7 @@ def _realized(pred: str, args: tuple) -> list[tuple[BasicConcept, Term]]:
     ]
 
 
-def _entailed_facts(maps: _ClosureMaps, pred: str, args: tuple) -> Iterator[tuple[str, tuple]]:
+def _entailed_facts(maps: InclusionClosure, pred: str, args: tuple) -> Iterator[tuple[str, tuple]]:
     """The named facts entailed by the fact `pred(args)` alone: its role
     subsumers and its atomic concept subsumers.  The subsumption maps are
     transitive, so no fact derived here entails one that is not."""
@@ -322,6 +278,13 @@ def _homomorphisms(atoms: list[Atom], rel: _Relations, binding: dict) -> Iterato
         nb = _extend(best, row, binding)
         if nb is not None:
             yield from _homomorphisms(rest, rel, nb)
+
+
+def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
+    """The image of `body` under each of its homomorphisms into `rel`."""
+    atoms = list(body.atoms)
+    for binding in _homomorphisms(atoms, rel, {}):
+        yield frozenset(Atom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in atoms)
 
 
 @lru_cache(maxsize=1024)
@@ -553,7 +516,7 @@ def abox_closure(tbox: TBox, abox: ABox) -> ABox:
     Existential axioms only introduce anonymous individuals, so no new
     constants can appear."""
     _require_consistent(tbox, abox)
-    maps = _closure_maps(tbox)
+    maps = saturate_tbox(tbox)
     out = set(abox.atoms)
     for atom in abox.atoms:
         for pred, args in _entailed_facts(maps, atom.predicate, atom.args):
@@ -605,7 +568,7 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
     """Apply inclusion axioms with fresh nulls for unsatisfied existentials,
     stopping at the given null depth.  Existential steps are skipped when a
     witness already exists (restricted chase)."""
-    maps = _closure_maps(tbox)
+    maps = saturate_tbox(tbox)
     atoms: set[tuple[str, tuple]] = {(a.predicate, a.args) for a in abox_closure(tbox, abox)}
     depths: dict[ChaseTerm, int] = {}
     for a in abox.atoms:

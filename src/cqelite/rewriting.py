@@ -62,11 +62,11 @@ from .reasoner import (
     _abox_relations,
     _atom_key,
     _canonical_cq,
-    _closure_maps,
     _extend,
-    _homomorphisms,
+    _images,
     denial_query,
     perfect_ref,
+    saturate_tbox,
 )
 
 
@@ -301,7 +301,7 @@ def atom_rewr(q: FONode, tbox: TBox) -> FONode:
     """Replace every atom with the disjunction of the ways the TBox can
     entail it: subsumed concepts, role domains/ranges for concept atoms, and
     subsumed (possibly inverted) roles for role atoms."""
-    maps = _closure_maps(tbox)
+    maps = saturate_tbox(tbox)
     counter = [0]
 
     def fresh() -> Term:
@@ -371,18 +371,6 @@ def _partitions(items: list) -> Iterable[list[list]]:
         yield part + [[first]]
 
 
-class _PatternStore:
-    """Minimal violation patterns for a TBox and policy.
-
-    `patterns` are canonical conjunctive queries; an exact (term-injective,
-    generic values outside `rc`) match of a pattern is a minimal violating
-    set, and every minimal violating set is such a match."""
-
-    def __init__(self, patterns: tuple[ConjunctiveQuery, ...], rc: tuple[Term, ...]):
-        self.patterns = patterns
-        self.rc = rc
-
-
 def _has_proper_subimage(raw: list[ConjunctiveQuery], quotient: ConjunctiveQuery) -> bool:
     """True if some raw pattern maps into the quotient's atoms with an image
     that misses at least one of them (the quotient is then non-minimal)."""
@@ -394,17 +382,22 @@ def _has_proper_subimage(raw: list[ConjunctiveQuery], quotient: ConjunctiveQuery
             # collapsing match of a longer pattern factors through a reduced
             # pattern that is also in `raw` and has no more atoms than its image
             continue
-        for b in _homomorphisms(list(f.atoms), rel, {}):
-            image = frozenset(
-                Atom(a.predicate, tuple(b.get(t, t) for t in a.args)) for a in f.atoms
-            )
-            if image < target:
-                return True
+        if any(image < target for image in _images(f, rel)):
+            return True
     return False
 
 
 @lru_cache(maxsize=1024)
-def _conflict_patterns(tbox: TBox, policy: Policy) -> _PatternStore:
+def _conflict_patterns(
+    tbox: TBox, policy: Policy
+) -> tuple[tuple[ConjunctiveQuery, ...], tuple[Term, ...]]:
+    """The minimal violation patterns for a TBox and policy, and the policy
+    constants `rc` they mention.
+
+    The patterns are canonical conjunctive queries; an exact match of a
+    pattern (term-injective, with its generic values outside `rc`) is a
+    minimal violating set, and every minimal violating set is such a
+    match."""
     raw: dict[tuple, ConjunctiveQuery] = {}
     for d in policy.denials:
         for rewritten in perfect_ref(denial_query(d), tbox):
@@ -438,7 +431,7 @@ def _conflict_patterns(tbox: TBox, policy: Policy) -> _PatternStore:
         for k in sorted(quotients)
         if not _has_proper_subimage(raw_list, quotients[k])
     ]
-    return _PatternStore(tuple(minimal), tuple(rc))
+    return tuple(minimal), tuple(rc)
 
 
 # --- repair-aware reformulation -----------------------------------------------------
@@ -510,7 +503,7 @@ def _guard_for(
 def _build_iar(
     q: ConjunctiveQuery, tbox: TBox, policy: Policy
 ) -> tuple[FONode, int, int]:
-    store = _conflict_patterns(tbox, policy)
+    patterns, rc = _conflict_patterns(tbox, policy)
     counter = [0]
 
     def fresh() -> Term:
@@ -524,9 +517,9 @@ def _build_iar(
         atoms = q1.sorted_atoms()
         guards: list[FONode] = []
         for alpha in atoms:
-            for pattern in store.patterns:
+            for pattern in patterns:
                 for beta in pattern.sorted_atoms():
-                    g = _guard_for(alpha, beta, pattern, store.rc, fresh)
+                    g = _guard_for(alpha, beta, pattern, rc, fresh)
                     if g is not None:
                         guards.append(Not(g))
         guards = _dedup(guards)

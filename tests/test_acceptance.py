@@ -74,7 +74,7 @@ def test_criterion_1_running_example_golden():
         parse_abox("ProjA(c)\nSupplier(c)").atoms,
         parse_abox("ProjB(c)\nSupplier(c)").atoms,
     }
-    found_secrets = secrets(t, p, a).secrets
+    found_secrets = secrets(t, p, a)
     repair = iar_repair(t, p, a)
     checks = [
         len(closure) == 3,

@@ -1,12 +1,17 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from cqelite import (
     ABox,
     Atom,
+    ConceptInclusion,
+    InclusionClosure,
     InconsistentOntologyError,
+    RoleExpr,
+    RoleInclusion,
+    TBox,
     abox_closure,
     atomic,
     chase_bounded,
@@ -25,7 +30,7 @@ from cqelite import (
     saturate_tbox,
     var,
 )
-from cqelite.model import ConjunctiveQuery, RoleExpr
+from cqelite.model import ConjunctiveQuery
 from cqelite.reasoner import Null, _Relations, _canonical_cq, chase_satisfies, concept_atom
 from cqelite.gen import random_bcq, random_instance
 
@@ -101,6 +106,145 @@ def test_saturate_agreement_with_entailment_exhaustive():
                     b1,
                     b2,
                 )
+
+
+def saturate_by_fixpoint(tbox: TBox) -> InclusionClosure:
+    """Reference for `saturate_tbox`: apply the closure rules one group at a
+    time until nothing changes, unsatisfiable expressions included."""
+    basics = set(tbox.basic_concepts())
+    roles = set(tbox.role_exprs())
+
+    pos_c = {(b, b) for b in basics}
+    pos_r = {(r, r) for r in roles}
+    neg_c = set()
+    neg_r = set()
+
+    for ax in tbox.axioms:
+        if isinstance(ax, ConceptInclusion):
+            if ax.negated:
+                neg_c.add(frozenset((ax.lhs, ax.rhs)))
+            else:
+                pos_c.add((ax.lhs, ax.rhs))
+        else:
+            if ax.negated:
+                neg_r.add(frozenset((ax.lhs, ax.rhs)))
+            else:
+                pos_r.add((ax.lhs, ax.rhs))
+
+    changed = True
+    while changed:
+        changed = False
+
+        for (r, s) in list(pos_r):
+            pair = (r.inverted(), s.inverted())
+            if pair not in pos_r:
+                pos_r.add(pair)
+                changed = True
+            for pair in ((r.domain(), s.domain()), (r.range(), s.range())):
+                if pair not in pos_c:
+                    pos_c.add(pair)
+                    changed = True
+
+        for rel in (pos_c, pos_r):
+            by_rhs = {}
+            for (x, y) in rel:
+                by_rhs.setdefault(y, []).append(x)
+            new = {(w, y) for (x, y) in rel for w in by_rhs.get(x, ()) if (w, y) not in rel}
+            if new:
+                rel |= new
+                changed = True
+
+        # disjointness inherited along positive subsumption
+        for neg, pos in ((neg_c, pos_c), (neg_r, pos_r)):
+            subs_of = {}
+            for (x, y) in pos:
+                subs_of.setdefault(y, []).append(x)
+            new = set()
+            for pair in neg:
+                items = tuple(pair)
+                for x2 in subs_of.get(items[0], ()):
+                    for y2 in subs_of.get(items[-1], ()):
+                        p = frozenset((x2, y2))
+                        if p not in neg:
+                            new.add(p)
+            if new:
+                neg |= new
+                changed = True
+
+        for pair in list(neg_r):
+            items = tuple(pair)
+            p = frozenset((items[0].inverted(), items[-1].inverted()))
+            if p not in neg_r:
+                neg_r.add(p)
+                changed = True
+
+        # an empty role has empty domain and range, and vice versa
+        for r in roles:
+            if frozenset((r,)) in neg_r:
+                for c in (r.domain(), r.range()):
+                    p = frozenset((c,))
+                    if p not in neg_c:
+                        neg_c.add(p)
+                        changed = True
+        for r in roles:
+            if frozenset((r.domain(),)) in neg_c and frozenset((r,)) not in neg_r:
+                neg_r.add(frozenset((r,)))
+                changed = True
+
+        # unsatisfiable expressions entail everything vacuously
+        for exprs, pos, neg in ((basics, pos_c, neg_c), (roles, pos_r, neg_r)):
+            for b in exprs:
+                if frozenset((b,)) in neg:
+                    for y in exprs:
+                        if (b, y) not in pos:
+                            pos.add((b, y))
+                            changed = True
+                        p = frozenset((b, y))
+                        if p not in neg:
+                            neg.add(p)
+                            changed = True
+
+    return InclusionClosure(
+        frozenset(pos_c), frozenset(pos_r), frozenset(neg_c), frozenset(neg_r)
+    )
+
+
+DRAWN_CONCEPTS = ["A", "B", "C"]
+DRAWN_ROLES = ["R", "S"]
+drawn_basics = st.one_of(
+    st.sampled_from(DRAWN_CONCEPTS).map(atomic),
+    st.sampled_from(DRAWN_ROLES).map(exists),
+    st.sampled_from(DRAWN_ROLES).map(exists_inv),
+)
+drawn_roles = st.builds(RoleExpr, st.sampled_from(DRAWN_ROLES), st.booleans())
+drawn_tboxes = st.lists(
+    st.one_of(
+        st.builds(ConceptInclusion, drawn_basics, drawn_basics, st.booleans()),
+        st.builds(RoleInclusion, drawn_roles, drawn_roles, st.booleans()),
+    ),
+    max_size=8,
+).map(lambda axioms: TBox.of(axioms, DRAWN_CONCEPTS, DRAWN_ROLES))
+
+
+def _lookup(pairs):
+    return {x: sorted(y for (x2, y) in pairs if x2 == x) for x in {x for x, _ in pairs}}
+
+
+@settings(max_examples=300)
+@given(drawn_tboxes)
+def test_saturate_matches_fixpoint_on_drawn_tboxes(t):
+    got, want = saturate_tbox(t), saturate_by_fixpoint(t)
+    assert got == want
+    assert got.concept_subsumers == _lookup(want.concept_subs)
+    assert got.concept_subsumees == _lookup({(y, x) for x, y in want.concept_subs})
+    assert got.role_subsumers == _lookup(want.role_subs)
+    assert got.role_subsumees == _lookup({(y, x) for x, y in want.role_subs})
+
+
+def test_drawn_tboxes_reach_unsatisfiable_concepts_and_roles():
+    """The draws above cover the vacuous pairs of both kinds."""
+    for kind in ("disjoint_concepts", "disjoint_roles"):
+        find(drawn_tboxes, lambda t: any(len(p) == 1 for p in getattr(saturate_tbox(t), kind)))
 
 
 # --- homomorphism evaluation ----------------------------------------------------
