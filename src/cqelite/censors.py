@@ -19,7 +19,11 @@ secret plus one maximal independent set of the hypergraph.  `secrets`,
 `ib_entail` searches for one censor that misses the query instead of
 enumerating them all.  `enumerate_optimal_ga_censors` still runs the full
 consistency and policy checks on candidate subsets, which makes the
-enumeration an independent oracle for the greedy censor and for `ib`."""
+enumeration an independent oracle for the greedy censor and for `ib`.
+
+The secrets, the repair and the enumerated censors are memoized on the
+ABox value, with its closure, so every semantics and censor asked of one
+ABox shares them."""
 
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ from .reasoner import (
     denial_query,
     is_consistent,
     is_policy_consistent,
+    memo_on_abox,
     perfect_ref,
 )
 
@@ -163,15 +168,28 @@ def enumerate_optimal_ga_censors(
 ) -> frozenset[ABox]:
     """All maximal policy-consistent subsets of the closure.  Exponential in
     the worst case; guarded by `limit` (default 24 closure atoms)."""
-    closure = _guarded_closure(tbox, abox, limit)
+    _guarded_closure(tbox, abox, limit)
+    return _optimal_censors(tbox, policy, abox)
 
-    atoms = sorted(closure.atoms, key=atom_order_key)
+
+@memo_on_abox
+def _optimal_censors(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[ABox]:
+    """The enumeration behind `enumerate_optimal_ga_censors`: a branch and
+    bound over the closure atoms that checks candidate subsets in full."""
+    atoms = sorted(abox_closure(tbox, abox).atoms, key=atom_order_key)
     suffixes = [frozenset(atoms[i:]) for i in range(len(atoms) + 1)]
     found: set[frozenset[Atom]] = set()
+    checked: dict[frozenset[Atom], bool] = {}  # the checks of this call only
+
+    def keeps(candidate: frozenset[Atom]) -> bool:
+        ok = checked.get(candidate)
+        if ok is None:
+            ok = checked[candidate] = _keeps_policy(tbox, policy, candidate)
+        return ok
 
     def record(candidate: frozenset[Atom]) -> None:
         for extra in atoms:
-            if extra not in candidate and _keeps_policy(tbox, policy, candidate | {extra}):
+            if extra not in candidate and keeps(candidate | {extra}):
                 return
         found.add(candidate)
 
@@ -180,14 +198,14 @@ def enumerate_optimal_ga_censors(
         potential = chosen | suffixes[i]
         if any(potential <= m for m in found):
             return
-        if _keeps_policy(tbox, policy, potential):
+        if keeps(potential):
             record(potential)
             return
         if i == len(atoms):
             record(chosen)
             return
         with_alpha = chosen | {atoms[i]}
-        if _keeps_policy(tbox, policy, with_alpha):
+        if keeps(with_alpha):
             explore(i + 1, with_alpha)
         explore(i + 1, chosen)
 
@@ -294,6 +312,7 @@ def _independent_set_avoiding(others: list[list[int]], closing: list[list[int]])
     return None
 
 
+@memo_on_abox
 def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]]:
     """All minimal closure subsets inconsistent with the TBox and policy.
 
@@ -317,17 +336,21 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
     )
 
 
+@memo_on_abox
 def iar_repair(tbox: TBox, policy: Policy, abox: ABox) -> ABox:
     """The closure minus every atom that occurs in some secret; equals the
-    intersection of all maximal policy-consistent subsets."""
+    intersection of all maximal policy-consistent subsets.  With no secret
+    this is the closure itself, which then shares its derived state."""
     closure = abox_closure(tbox, abox)
     hidden = frozenset().union(*secrets(tbox, policy, abox))
-    return ABox(closure.atoms - hidden)
+    return ABox(closure.atoms - hidden) if hidden else closure
 
 
 def qib_entail(tbox: TBox, policy: Policy, abox: ABox, q: ConjunctiveQuery) -> bool:
-    """Entailment under the quasi-optimal censor: query the repair."""
-    return cq_entailed(tbox, iar_repair(tbox, policy, abox), q)
+    """Entailment under the quasi-optimal censor: query the repair.  The
+    repair is a subset of the closure, which `secrets` found consistent, so
+    it needs no consistency check of its own."""
+    return _entailed_unchecked(tbox, iar_repair(tbox, policy, abox), q)
 
 
 def qib_entail_bruteforce(

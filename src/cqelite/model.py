@@ -229,7 +229,15 @@ class TBox:
 
 @dataclass(frozen=True)
 class ABox:
+    """A finite set of ground atoms.  The reasoner keeps what it derives
+    from a value in the instance's `__dict__` (`reasoner.memo_on_abox`),
+    which takes no part in equality, hashing or repr."""
+
     atoms: frozenset[Atom]
+
+    def __getstate__(self):
+        # pickles and copies carry the value, not the reasoner's memo
+        return {"atoms": self.atoms}
 
     def __post_init__(self):
         # a plain loop comparing kinds, not a call per term: every new ABox

@@ -10,13 +10,18 @@ entailment; `abox_closure` materializes every entailed ground atom over the
 data constants; `is_consistent` checks that no entailed disjointness is
 witnessed.  `chase_bounded` builds a truncated canonical model and serves
 as an independent entailment oracle for validating the rewriting.
+
+What is derived from an ABox (its closure, consistency, policy consistency
+and index, and the secrets and repair in `censors`) is memoized on the ABox
+value itself by `memo_on_abox`, so it is computed once per value and dies
+with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Optional, Union
+from functools import cached_property, lru_cache, wraps
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .model import (
     ABox,
@@ -35,6 +40,42 @@ from .model import (
 
 class InconsistentOntologyError(Exception):
     """Raised when an operation requires a consistent TBox + ABox."""
+
+
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+_SELF = object()  # stands for a result that is the ABox itself
+
+
+def memo_on_abox(fn):
+    """Memoize `fn(*keys, abox)` on the ABox value: the result is stored in
+    the instance's `__dict__` under (fn, *keys), which leaves the frozen
+    dataclass's eq, hash and repr alone.  It lives exactly as long as that
+    value, and equal but distinct values do not share it.  A result that is
+    the ABox itself is stored as a marker, so the memo makes no reference
+    cycle.  `cache_info()` counts hits and misses, as `lru_cache` does."""
+    counts = [0, 0]
+
+    @wraps(fn)
+    def memo(*args):
+        abox = args[-1]
+        store = abox.__dict__.setdefault("_derived", {})
+        key = (fn, *args[:-1])
+        try:
+            result = store[key]
+        except KeyError:
+            counts[1] += 1
+            result = fn(*args)
+            store[key] = _SELF if result is abox else result
+            return result
+        counts[0] += 1
+        return abox if result is _SELF else result
+
+    memo.cache_info = lambda: CacheInfo(*counts)
+    return memo
 
 
 @dataclass(frozen=True)
@@ -287,7 +328,7 @@ def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]
         yield frozenset(Atom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in atoms)
 
 
-@lru_cache(maxsize=1024)
+@memo_on_abox
 def _abox_relations(abox: ABox) -> _Relations:
     return _Relations((a.predicate, a.args) for a in abox.atoms)
 
@@ -459,31 +500,39 @@ def _entailed_unchecked(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:
 
 
 def _violation_query_concepts(pair: frozenset[BasicConcept]) -> ConjunctiveQuery:
-    items = sorted(pair)
+    """One atom per side; a single atom for an unsatisfiable concept."""
     x = var("X1")
-    atoms = {concept_atom(items[0], x, var("Y1")), concept_atom(items[-1], x, var("Y2"))}
+    atoms = (concept_atom(b, x, var(f"Y{i}")) for i, b in enumerate(sorted(pair), 1))
     return ConjunctiveQuery(frozenset(atoms))
 
 
 def _violation_query_roles(pair: frozenset[RoleExpr]) -> ConjunctiveQuery:
-    items = sorted(pair)
     x, y = var("X1"), var("X2")
-    atoms = {role_atom(items[0], x, y), role_atom(items[-1], x, y)}
-    return ConjunctiveQuery(frozenset(atoms))
+    return ConjunctiveQuery(frozenset(role_atom(r, x, y) for r in pair))
 
 
-@lru_cache(maxsize=65536)
+def _violation_queries(closure: InclusionClosure) -> Iterator[ConjunctiveQuery]:
+    """One query per disjointness pair, but a single atom for each
+    unsatisfiable expression (a size-1 pair) and nothing for the vacuous
+    pairs it has with every other expression of its kind: a witness of
+    such a pair is a witness of its unsatisfiable side."""
+    for pairs, query in (
+        (closure.disjoint_concepts, _violation_query_concepts),
+        (closure.disjoint_roles, _violation_query_roles),
+    ):
+        unsat = {x for p in pairs if len(p) == 1 for x in p}
+        for pair in pairs:
+            if len(pair) == 1 or not pair & unsat:
+                yield query(pair)
+
+
+@memo_on_abox
 def is_consistent(tbox: TBox, abox: ABox) -> bool:
     """True iff the TBox and ABox admit a model: no entailed disjointness
     pair is witnessed by the (rewritten) data."""
-    closure = saturate_tbox(tbox)
-    for pair in closure.disjoint_concepts:
-        if _entailed_unchecked(tbox, abox, _violation_query_concepts(pair)):
-            return False
-    for pair in closure.disjoint_roles:
-        if _entailed_unchecked(tbox, abox, _violation_query_roles(pair)):
-            return False
-    return True
+    return not any(
+        _entailed_unchecked(tbox, abox, v) for v in _violation_queries(saturate_tbox(tbox))
+    )
 
 
 def _require_consistent(tbox: TBox, abox: ABox) -> None:
@@ -501,7 +550,7 @@ def denial_query(denial) -> ConjunctiveQuery:
     return ConjunctiveQuery(denial.body)
 
 
-@lru_cache(maxsize=65536)
+@memo_on_abox
 def is_policy_consistent(tbox: TBox, policy: Policy, abox: ABox) -> bool:
     """True iff no denial body is entailed by the TBox and ABox."""
     _require_consistent(tbox, abox)
@@ -510,18 +559,19 @@ def is_policy_consistent(tbox: TBox, policy: Policy, abox: ABox) -> bool:
     )
 
 
-@lru_cache(maxsize=16384)
+@memo_on_abox
 def abox_closure(tbox: TBox, abox: ABox) -> ABox:
     """All ground atoms over the data constants entailed by TBox + ABox.
     Existential axioms only introduce anonymous individuals, so no new
-    constants can appear."""
+    constants can appear.  When nothing is added this is `abox` itself,
+    which then shares its derived state with its closure."""
     _require_consistent(tbox, abox)
     maps = saturate_tbox(tbox)
     out = set(abox.atoms)
     for atom in abox.atoms:
         for pred, args in _entailed_facts(maps, atom.predicate, atom.args):
             out.add(Atom(pred, args))
-    return ABox(frozenset(out))
+    return abox if len(out) == len(abox.atoms) else ABox(frozenset(out))
 
 
 # --- bounded chase oracle ------------------------------------------------------

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from cqelite import (
     ABox,
@@ -31,7 +31,15 @@ from cqelite import (
     var,
 )
 from cqelite.model import ConjunctiveQuery
-from cqelite.reasoner import Null, _Relations, _canonical_cq, chase_satisfies, concept_atom
+from cqelite.reasoner import (
+    Null,
+    _Relations,
+    _canonical_cq,
+    _entailed_unchecked,
+    chase_satisfies,
+    concept_atom,
+    role_atom,
+)
 from cqelite.gen import random_bcq, random_instance
 
 from conftest import q
@@ -245,6 +253,57 @@ def test_drawn_tboxes_reach_unsatisfiable_concepts_and_roles():
     """The draws above cover the vacuous pairs of both kinds."""
     for kind in ("disjoint_concepts", "disjoint_roles"):
         find(drawn_tboxes, lambda t: any(len(p) == 1 for p in getattr(saturate_tbox(t), kind)))
+
+
+# --- consistency against the per-pair reference ---------------------------------
+
+
+def is_consistent_by_pairs(tbox: TBox, abox: ABox) -> bool:
+    """The reference: one two-atom violation query for every disjointness
+    pair of the saturated TBox, the vacuous pairs of each unsatisfiable
+    expression included."""
+    closure = saturate_tbox(tbox)
+    x, x2, y1, y2 = var("X1"), var("X2"), var("Y1"), var("Y2")
+    bodies = [
+        {concept_atom(items[0], x, y1), concept_atom(items[-1], x, y2)}
+        for items in map(sorted, closure.disjoint_concepts)
+    ] + [
+        {role_atom(items[0], x, x2), role_atom(items[-1], x, x2)}
+        for items in map(sorted, closure.disjoint_roles)
+    ]
+    return not any(
+        _entailed_unchecked(tbox, abox, ConjunctiveQuery(frozenset(body))) for body in bodies
+    )
+
+
+drawn_consts = st.sampled_from(["a", "b"]).map(const)
+drawn_aboxes = st.lists(
+    st.one_of(
+        st.builds(lambda c, x: Atom(c, (x,)), st.sampled_from(DRAWN_CONCEPTS), drawn_consts),
+        st.builds(
+            lambda r, x, y: Atom(r, (x, y)), st.sampled_from(DRAWN_ROLES), drawn_consts, drawn_consts
+        ),
+    ),
+    max_size=4,
+).map(ABox.of)
+
+
+@settings(max_examples=300)
+@given(drawn_tboxes, drawn_aboxes)
+def test_is_consistent_matches_per_pair_reference(t, a):
+    assert is_consistent(t, a) == is_consistent_by_pairs(t, a)
+
+
+def test_drawn_instances_reach_inconsistency_through_unsatisfiable_expressions():
+    """The draws above cover inputs made inconsistent by an unsatisfiable
+    concept and by an unsatisfiable role."""
+    for kind in ("disjoint_concepts", "disjoint_roles"):
+        find(
+            st.tuples(drawn_tboxes, drawn_aboxes),
+            lambda ta: any(len(p) == 1 for p in getattr(saturate_tbox(ta[0]), kind))
+            and not is_consistent_by_pairs(*ta),
+            settings=settings(phases=[Phase.generate]),  # a witness, not a small one
+        )
 
 
 # --- homomorphism evaluation ----------------------------------------------------
