@@ -11,17 +11,26 @@ data constants; `is_consistent` checks that no entailed disjointness is
 witnessed.  `chase_bounded` builds a truncated canonical model and serves
 as an independent entailment oracle for validating the rewriting.
 
+One matcher answers every conjunctive query match, by set joins over whole
+row sets: `_homomorphisms` joins the atoms' rows (`_atom_rows`, `_join`)
+one variable-connected component at a time.  It decides `eval_cq` and
+`chase_satisfies`, and yields the images behind `censors.secrets` and
+`ib`'s counter-censor search and behind the pattern minimality check in
+`rewriting`; `eval_fo` evaluates FO sentences with the same two functions.
+
 What is derived from an ABox (its closure, consistency, policy consistency
-and index, and the secrets and repair in `censors`) is memoized on the ABox
-value itself by `memo_on_abox`, so it is computed once per value and dies
-with it.
+and stored row sets, and the secrets and repair in `censors`) is memoized
+on the ABox value itself by `memo_on_abox`, so it is computed once per
+value and dies with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import chain, product
+from operator import itemgetter
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .model import (
     ABox,
@@ -235,96 +244,126 @@ def _entailed_facts(maps: InclusionClosure, pred: str, args: tuple) -> Iterator[
 # --- conjunctive query evaluation -------------------------------------------
 
 
-class _Relations:
-    """Predicate-indexed store of argument tuples (over any term type).
+# the variables a set of rows ranges over, and the rows
+_Rows = tuple[tuple[Term, ...], AbstractSet[tuple]]
 
-    The index from a (predicate, position) pair's values to their rows is
-    built on the first lookup of that pair, so a store that is only scanned
-    or read whole never pays for it."""
+
+class _Relations:
+    """Stored argument tuples (over any term type), one set per predicate
+    and arity; each set is built on first use, so a store read for a few
+    predicates only hashes their rows."""
 
     def __init__(self, facts: Iterable[tuple[str, tuple]]):
-        self.by_pred: dict[str, list[tuple]] = {}
-        self._by_pos: dict[tuple[str, int], dict[object, list[tuple]]] = {}
+        self._rows: dict[tuple[str, int], list[tuple]] = {}
         self._row_sets: dict[tuple[str, int], frozenset[tuple]] = {}
         for pred, args in facts:
-            self.by_pred.setdefault(pred, []).append(args)
-
-    def _index(self, pred: str, i: int) -> dict[object, list[tuple]]:
-        """The rows of `pred` by their value at position `i`, each list in
-        `by_pred` order."""
-        index = self._by_pos.get((pred, i))
-        if index is None:
-            index = {}
-            for row in self.by_pred.get(pred, ()):
-                if i < len(row):
-                    index.setdefault(row[i], []).append(row)
-            self._by_pos[(pred, i)] = index
-        return index
-
-    def candidates(self, atom: Atom, binding: dict) -> Iterable[tuple]:
-        best: Optional[list[tuple]] = None
-        for i, t in enumerate(atom.args):
-            v = t if t.is_const else binding.get(t)
-            if v is not None:
-                rows = self._index(atom.predicate, i).get(v, [])
-                if best is None or len(rows) < len(best):
-                    best = rows
-        if best is not None:
-            return best
-        return self.by_pred.get(atom.predicate, [])
+            self._rows.setdefault((pred, len(args)), []).append(args)
 
     def row_set(self, pred: str, arity: int) -> frozenset[tuple]:
-        """The stored rows of `pred` with `arity` columns, as one set; built
-        on first use, since only set-based evaluation reads it."""
         key = (pred, arity)
         rows = self._row_sets.get(key)
         if rows is None:
-            rows = frozenset(r for r in self.by_pred.get(pred, ()) if len(r) == arity)
-            self._row_sets[key] = rows
+            rows = self._row_sets[key] = frozenset(self._rows.get(key, ()))
         return rows
 
 
-def _extend(atom: Atom, row: tuple, binding: dict) -> Optional[dict]:
-    if len(row) != atom.arity:
-        return None
-    new = None
-    for t, v in zip(atom.args, row):
+def _atom_rows(atom: Atom, rel: _Relations) -> _Rows:
+    """The rows of `atom` in `rel`, over its distinct variables in order of
+    first occurrence.  An atom over pairwise-distinct variables reads its
+    predicate's stored rows as they are, and a ground atom is one lookup;
+    otherwise the stored rows are filtered in one pass for the atom's
+    constants and repeated variables."""
+    args = atom.args
+    stored = rel.row_set(atom.predicate, atom.arity)
+    first: dict[Term, int] = {}
+    fixed: list[tuple[int, Term]] = []  # the row holds this constant here
+    same: list[tuple[int, int]] = []  # the row repeats an earlier value here
+    for i, t in enumerate(args):
         if t.is_const:
-            if t != v:
-                return None
+            fixed.append((i, t))
+        elif t in first:
+            same.append((i, first[t]))
         else:
-            bound = (new or binding).get(t)
-            if bound is None:
-                if new is None:
-                    new = dict(binding)
-                new[t] = v
-            elif bound != v:
-                return None
-    return new if new is not None else dict(binding)
+            first[t] = i
+    if not fixed and not same:
+        return args, stored
+    if not first:
+        return (), ({()} if args in stored else set())
+    keep = tuple(first.values())
+    return tuple(first), {
+        tuple(r[i] for i in keep)
+        for r in stored
+        if all(r[i] == c for i, c in fixed) and all(r[i] == r[j] for i, j in same)
+    }
 
 
-def _homomorphisms(atoms: list[Atom], rel: _Relations, binding: dict) -> Iterator[dict]:
-    """Every extension of `binding` that maps `atoms` into `rel`, found by
-    backtracking from the most-bound atom."""
-    if not atoms:
-        yield binding
-        return
+def _reorder(v: tuple, rows: AbstractSet[tuple], out_vars: tuple) -> AbstractSet[tuple]:
+    """`rows` over `v` with their columns in the order of `out_vars`, a
+    permutation of `v`."""
+    if v == out_vars:
+        return rows
+    return set(map(itemgetter(*(v.index(x) for x in out_vars)), rows))
 
-    def boundness(a: Atom) -> int:
-        return sum(1 for t in a.args if t.is_const or t in binding)
 
-    best = max(atoms, key=boundness)
-    rest = [a for a in atoms if a is not best]
-    for row in rel.candidates(best, binding):
-        nb = _extend(best, row, binding)
-        if nb is not None:
-            yield from _homomorphisms(rest, rel, nb)
+def _join(v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple]) -> _Rows:
+    """The natural join of two row sets: an intersection when they range
+    over the same variables, a hash join on the shared ones otherwise (a
+    product when they share none)."""
+    if len(v1) == len(v2) and set(v1) == set(v2):
+        if len(r1) > len(r2):
+            v1, r1, v2, r2 = v2, r2, v1, r1
+        return v2, _reorder(v1, r1, v2) & r2
+    shared = [x for x in v2 if x in v1]
+    out_vars = v1 + tuple(x for x in v2 if x not in v1)
+    pos1 = [v1.index(x) for x in shared]
+    pos2 = [v2.index(x) for x in shared]
+    rest2 = [i for i, x in enumerate(v2) if x not in v1]
+    index: dict[tuple, list[tuple]] = {}
+    for r in r2:
+        index.setdefault(tuple(r[i] for i in pos2), []).append(tuple(r[i] for i in rest2))
+    out = set()
+    for r in r1:
+        for tail in index.get(tuple(r[i] for i in pos1), ()):
+            out.add(r + tail)
+    return out_vars, out
+
+
+def _homomorphisms(atoms: Iterable[Atom], rel: _Relations) -> Iterator[dict]:
+    """Every map of the variables of `atoms` that sends each atom to a row
+    of `rel`, constants fixed.  The atoms' row sets are joined smallest
+    first, each next one sharing a variable with those already joined.
+    When none does, a variable-connected component is complete and the
+    next one starts from the smallest part left.  Components are never
+    joined: a binding takes one row of each, so a query whose components
+    all match yields its first binding without building their product."""
+    parts: list[_Rows] = []
+    for a in atoms:
+        v, rows = _atom_rows(a, rel)
+        if not rows:
+            return
+        if v:
+            parts.append((v, rows))
+    parts.sort(key=lambda p: len(p[1]))
+    components: list[_Rows] = []
+    while parts:
+        cur_vars, cur = parts.pop(0)
+        while True:
+            i = next((i for i, (v, _) in enumerate(parts) if any(x in cur_vars for x in v)), None)
+            if i is None:
+                break
+            cur_vars, cur = _join(cur_vars, cur, *parts.pop(i))
+            if not cur:
+                return
+        components.append((cur_vars, cur))
+    names = [x for v, _ in components for x in v]
+    for rows in product(*(rows for _, rows in components)):
+        yield dict(zip(names, chain.from_iterable(rows)))
 
 
 def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
     """The image of `body` under each of its homomorphisms into `rel`."""
     atoms = list(body.atoms)
-    for binding in _homomorphisms(atoms, rel, {}):
+    for binding in _homomorphisms(atoms, rel):
         yield frozenset(Atom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in atoms)
 
 
@@ -336,7 +375,7 @@ def _abox_relations(abox: ABox) -> _Relations:
 def eval_cq(q: ConjunctiveQuery, abox: ABox) -> bool:
     """True iff some homomorphism maps the query atoms into the ABox
     (variables to constants, constants fixed)."""
-    return next(_homomorphisms(list(q.atoms), _abox_relations(abox), {}), None) is not None
+    return next(_homomorphisms(q.atoms, _abox_relations(abox)), None) is not None
 
 
 # --- query rewriting ----------------------------------------------------------
@@ -663,8 +702,7 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
 
 def chase_satisfies(chase: ChaseStructure, q: ConjunctiveQuery) -> bool:
     """Homomorphism check into a chase structure; variables may map to nulls."""
-    rel = _Relations(iter(chase.atoms))
-    return next(_homomorphisms(list(q.atoms), rel, {}), None) is not None
+    return next(_homomorphisms(q.atoms, _Relations(chase.atoms)), None) is not None
 
 
 def chase_entails(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:

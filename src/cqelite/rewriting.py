@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
-from operator import itemgetter
-from typing import AbstractSet, Iterable, Optional
+from typing import Iterable, Optional
 
 from .model import (
     ABox,
@@ -59,11 +58,14 @@ from .model import (
 )
 from .reasoner import (
     _Relations,
+    _Rows,
     _abox_relations,
     _atom_key,
+    _atom_rows,
     _canonical_cq,
-    _extend,
     _images,
+    _join,
+    _reorder,
     denial_query,
     perfect_ref,
     saturate_tbox,
@@ -76,9 +78,6 @@ class UnboundVariableError(Exception):
 
 # --- active-domain evaluation -------------------------------------------------
 
-# the variables a subformula's rows range over, and the rows
-_Rows = tuple[tuple[Term, ...], AbstractSet[tuple]]
-
 
 class _Evaluator:
     """Bottom-up set evaluation: each subformula yields a set of rows over
@@ -88,12 +87,13 @@ class _Evaluator:
     active domain.  Three things keep the sets small:
 
     - an atom over pairwise-distinct variables yields its predicate's
-      stored row set as it is (`_Relations.row_set`), and a ground atom is
-      a lookup in that set, so neither builds a position index;
+      stored row set as it is, and a ground atom is a lookup in that set
+      (`reasoner._atom_rows`, shared with the conjunctive query matcher);
     - conjuncts over the same variables are intersected, and a negated one
-      is subtracted, after their columns are put in the same order;
-      disjuncts that differ only in column order are re-ordered, not spread;
-      a conjunction stops at its first empty intermediate result;
+      is subtracted, after their columns are put in the same order; other
+      conjuncts are hash-joined (`reasoner._join`, shared with the matcher);
+      disjuncts that differ only in column order are re-ordered, not
+      spread; a conjunction stops at its first empty intermediate result;
     - `truth` stops a sentence at its first true disjunct, and splits an
       `Exists` prefix across the disjuncts of an `Or`, keeping only the
       variables free in each, so variable-disjoint disjuncts are never
@@ -137,7 +137,7 @@ class _Evaluator:
 
     def rows(self, node: FONode) -> _Rows:
         if isinstance(node, AtomNode):
-            return self._atom_rows(node.atom)
+            return _atom_rows(node.atom, self.rel)
         if isinstance(node, Truth):
             return (), ({()} if node.value else set())
         if isinstance(node, Eq):
@@ -170,23 +170,6 @@ class _Evaluator:
             return self._and_rows(node)
         raise TypeError(f"not an FO node: {node!r}")
 
-    def _atom_rows(self, atom: Atom) -> _Rows:
-        args = atom.args
-        if all(t.is_var for t in args) and len(set(args)) == len(args):
-            return args, self.rel.row_set(atom.predicate, atom.arity)
-        if all(t.is_const for t in args):
-            return (), ({()} if args in self.rel.row_set(atom.predicate, atom.arity) else set())
-        out_vars: list[Term] = []
-        for t in args:
-            if t.is_var and t not in out_vars:
-                out_vars.append(t)
-        rows = set()
-        for r in self.rel.candidates(atom, {}):
-            b = _extend(atom, r, {})
-            if b is not None:
-                rows.add(tuple(b[x] for x in out_vars))
-        return tuple(out_vars), rows
-
     def _eq_rows(self, node: Eq) -> _Rows:
         l, r = node.left, node.right
         if l.is_const and r.is_const:
@@ -209,7 +192,7 @@ class _Evaluator:
         parts.sort(key=lambda p: len(p[1]))
         cur_vars, cur = parts[0] if parts else ((), {()})
         for v, rws in parts[1:]:
-            cur_vars, cur = self._join(cur_vars, cur, v, rws)
+            cur_vars, cur = _join(cur_vars, cur, v, rws)
             if not cur:
                 return cur_vars, cur
         for c in node.children:
@@ -225,7 +208,7 @@ class _Evaluator:
                 cur = self._spread(cur_vars, cur, cur_vars + missing)
                 cur_vars = cur_vars + missing
             if len(iv) == len(cur_vars):
-                cur = cur - self._reorder(iv, irows, cur_vars)
+                cur = cur - _reorder(iv, irows, cur_vars)
             else:
                 positions = [cur_vars.index(x) for x in iv]
                 cur = {r for r in cur if tuple(r[i] for i in positions) not in irows}
@@ -233,38 +216,10 @@ class _Evaluator:
                 return cur_vars, cur
         return cur_vars, cur
 
-    def _join(self, v1, r1, v2, r2) -> _Rows:
-        if len(v1) == len(v2) and set(v1) == set(v2):
-            if len(r1) > len(r2):
-                v1, r1, v2, r2 = v2, r2, v1, r1
-            return v2, self._reorder(v1, r1, v2) & r2
-        shared = [x for x in v2 if x in v1]
-        out_vars = v1 + tuple(x for x in v2 if x not in v1)
-        pos1 = [v1.index(x) for x in shared]
-        pos2 = [v2.index(x) for x in shared]
-        rest2 = [i for i, x in enumerate(v2) if x not in v1]
-        index: dict[tuple, list[tuple]] = {}
-        for r in r2:
-            index.setdefault(tuple(r[i] for i in pos2), []).append(tuple(r[i] for i in rest2))
-        out = set()
-        for r in r1:
-            key = tuple(r[i] for i in pos1)
-            for tail in index.get(key, ()):
-                out.add(r + tail)
-        return out_vars, out
-
-    @staticmethod
-    def _reorder(v, rows, out_vars):
-        """`rows` over `v` with their columns in the order of `out_vars`, a
-        permutation of `v`."""
-        if v == out_vars:
-            return rows
-        return set(map(itemgetter(*(v.index(x) for x in out_vars)), rows))
-
     def _spread(self, v, rows, out_vars):
         missing = [x for x in out_vars if x not in v]
         if not missing:
-            return self._reorder(v, rows, out_vars)
+            return _reorder(v, rows, out_vars)
         src = {x: i for i, x in enumerate(v)}
         out = set()
         for r in rows:

@@ -1,4 +1,5 @@
 import random
+from typing import Iterator
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -30,12 +31,14 @@ from cqelite import (
     saturate_tbox,
     var,
 )
-from cqelite.model import ConjunctiveQuery
+from cqelite import reasoner
+from cqelite.model import ConjunctiveQuery, Term
 from cqelite.reasoner import (
     Null,
     _Relations,
     _canonical_cq,
     _entailed_unchecked,
+    _homomorphisms,
     chase_satisfies,
     concept_atom,
     role_atom,
@@ -326,6 +329,186 @@ def test_eval_cq_repeated_variable():
     assert eval_cq(q("R(X,X)"), a)
 
 
+def homomorphisms_by_backtracking(atoms: list[Atom], facts) -> Iterator[dict]:
+    """The reference: the row-by-row matcher that the set joins replaced.
+    It backtracks from the atom with the most bound positions, trying the
+    stored rows that agree on its bound position with the fewest rows."""
+    by_pred: dict = {}
+    by_pos: dict = {}
+    for pred, args in facts:
+        by_pred.setdefault(pred, []).append(args)
+        for i, v in enumerate(args):
+            by_pos.setdefault((pred, i, v), []).append(args)
+
+    def candidates(atom, binding):
+        best = None
+        for i, t in enumerate(atom.args):
+            v = t if t.is_const else binding.get(t)
+            if v is not None:
+                rows = by_pos.get((atom.predicate, i, v), [])
+                if best is None or len(rows) < len(best):
+                    best = rows
+        return by_pred.get(atom.predicate, []) if best is None else best
+
+    def extend(atom, row, binding):
+        if len(row) != atom.arity:
+            return None
+        new = None
+        for t, v in zip(atom.args, row):
+            if t.is_const:
+                if t != v:
+                    return None
+            else:
+                bound = (new or binding).get(t)
+                if bound is None:
+                    if new is None:
+                        new = dict(binding)
+                    new[t] = v
+                elif bound != v:
+                    return None
+        return new if new is not None else dict(binding)
+
+    def search(atoms, binding):
+        if not atoms:
+            yield binding
+            return
+        best = max(atoms, key=lambda a: sum(1 for t in a.args if t.is_const or t in binding))
+        rest = [a for a in atoms if a is not best]
+        for row in candidates(best, binding):
+            extended = extend(best, row, binding)
+            if extended is not None:
+                yield from search(rest, extended)
+
+    yield from search(list(atoms), {})
+
+
+match_consts = st.sampled_from(["a", "b", "c"]).map(const)
+match_vars = st.sampled_from(["X", "Y", "Z"]).map(var)
+match_terms = st.one_of(match_vars, match_consts)
+
+
+def _match_atoms(terms):
+    return st.one_of(
+        st.builds(lambda c, x: Atom(c, (x,)), st.sampled_from(DRAWN_CONCEPTS), terms),
+        st.builds(lambda r, x, y: Atom(r, (x, y)), st.sampled_from(DRAWN_ROLES), terms, terms),
+    )
+
+
+match_queries = st.lists(_match_atoms(match_terms), min_size=1, max_size=4, unique=True)
+
+
+def _with_existentials(instance):
+    """The instance with `A(a)` asserted and two existential axioms added,
+    so that its chase holds nulls."""
+    t, a = instance
+    axioms = t.axioms | parse_tbox("A [= ex R\nex R- [= ex S-").axioms
+    return TBox.of(axioms, DRAWN_CONCEPTS, DRAWN_ROLES), ABox(a.atoms | {Atom("A", (const("a"),))})
+
+
+@st.composite
+def match_cases(draw):
+    """(kind, stored facts, query atoms).  The facts hold constants for
+    "abox", constants and nulls for "chase", and variables too for
+    "quotient", built as `_has_proper_subimage` builds them: a pattern's
+    atoms under a substitution of its variables, plus a few other atoms.
+    Half the queries are read off some stored rows, each value a variable
+    or, if it is a constant, possibly kept, so that many of them match."""
+    kind = draw(st.sampled_from(["abox", "chase", "quotient"]))
+    if kind == "abox":
+        facts = {(a.predicate, a.args) for a in draw(st.lists(_match_atoms(match_consts), max_size=10))}
+    elif kind == "chase":
+        instance = draw(st.tuples(drawn_tboxes, drawn_aboxes).map(_with_existentials).filter(
+            lambda ta: is_consistent(*ta)))
+        facts = set(chase_bounded(*instance, 2).atoms)
+    else:
+        pattern = draw(match_queries) + draw(st.lists(_match_atoms(match_terms), max_size=3))
+        subst = draw(st.dictionaries(match_vars, match_terms))
+        facts = {(a.predicate, tuple(subst.get(t, t) for t in a.args)) for a in pattern}
+    rows = sorted(facts, key=repr)
+    if not rows or draw(st.booleans()):
+        return kind, rows, draw(match_queries)
+    picked = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3))
+    renaming = {}
+    for v in sorted({v for _, args in picked for v in args}, key=repr):
+        kept = isinstance(v, Term) and v.is_const and draw(st.booleans())
+        renaming[v] = v if kept else draw(match_vars)
+    atoms = dict.fromkeys(Atom(pred, tuple(renaming[v] for v in args)) for pred, args in picked)
+    return kind, rows, list(atoms)
+
+
+def _bindings(found) -> list[frozenset]:
+    return [frozenset(b.items()) for b in found]
+
+
+@settings(max_examples=400)
+@given(match_cases())
+def test_homomorphisms_match_backtracking_reference(case):
+    _, facts, atoms = case
+    got = _bindings(_homomorphisms(atoms, _Relations(facts)))
+    want = set(_bindings(homomorphisms_by_backtracking(atoms, facts)))
+    assert len(got) == len(set(got)) and set(got) == want
+
+
+def test_match_cases_reach_constants_repeats_disjoint_atoms_nulls_and_variables():
+    """The draws above cover matched queries with a constant, with a
+    repeated variable and with variable-disjoint atoms, chase rows holding
+    nulls that a match uses, and quotient rows holding variables that a
+    match uses."""
+
+    def values(case):
+        _, facts, atoms = case
+        return [v for b in homomorphisms_by_backtracking(atoms, facts) for v in b.values()]
+
+    def repeats(atoms):
+        terms = [t for a in atoms for t in a.args if t.is_var]
+        return len(terms) > len(set(terms))
+
+    def disconnected(atoms):
+        reached, rest = set(), list(atoms)
+        grown = [rest.pop()]
+        while grown:
+            reached |= {t for t in grown.pop().args if t.is_var}
+            grown += [a for a in rest if reached & set(a.args)]
+            rest = [a for a in rest if not reached & set(a.args)]
+        return bool(rest)
+
+    shapes = [
+        ("abox", lambda atoms, vs: vs and any(t.is_const for a in atoms for t in a.args)),
+        ("abox", lambda atoms, vs: vs and repeats(atoms)),
+        ("abox", lambda atoms, vs: vs and disconnected(atoms)),
+        ("chase", lambda atoms, vs: any(isinstance(v, Null) for v in vs)),
+        ("quotient", lambda atoms, vs: any(isinstance(v, Term) and v.is_var for v in vs)),
+    ]
+    for kind, shaped in shapes:
+        find(
+            match_cases(),
+            lambda c: c[0] == kind and shaped(c[2], values(c)),
+            # a witness, not a small one
+            settings=settings(phases=[Phase.generate], max_examples=1000),
+        )
+
+
+def test_eval_cq_never_multiplies_disjoint_components(monkeypatch):
+    """Each variable-connected component is decided on its own: no two row
+    sets that share no variable are ever joined."""
+    join = reasoner._join
+
+    def no_product(v1, r1, v2, r2):
+        assert any(x in v1 for x in v2), f"product of {v1} and {v2}"
+        return join(v1, r1, v2, r2)
+
+    monkeypatch.setattr(reasoner, "_join", no_product)
+    a_atoms = [Atom("A", (const(f"a{i}"),)) for i in range(2000)]
+    b_atoms = [Atom("B", (const(f"b{i}"),)) for i in range(2000)]
+    query = q("A(X), B(Y)")
+    verdicts = [eval_cq(query, ABox.of(atoms)) for atoms in (a_atoms + b_atoms, a_atoms, b_atoms)]
+    assert verdicts == [True, False, False]
+    chase = chase_bounded(parse_tbox("A [= ex R"), ABox.of(a_atoms + b_atoms), 1)
+    assert chase_satisfies(chase, q("R(X,Y), B(Z)"))
+    assert chase_satisfies(chase, q("R(X,Y), A(X), B(Z)"))
+    assert not chase_satisfies(chase, q("R(X,Y), A(Y), B(Z)"))
+
+
 # --- perfect reformulation -------------------------------------------------------
 
 
@@ -470,19 +653,6 @@ def test_policy_violated_by_anonymous_edge():
     p = parse_policy("denial :- R(X,Y)")
     a = parse_abox("A(c)")
     assert not is_policy_consistent(t, p, a)
-
-
-def test_relations_index_positions_on_first_lookup():
-    a, b, c = const("a"), const("b"), const("c")
-    rel = _Relations([("R", (a, b)), ("R", (c, b)), ("A", (a,)), ("R", (a, c))])
-    assert rel._by_pos == {}
-    assert rel.row_set("R", 2) == {(a, b), (c, b), (a, c)}
-    assert rel._by_pos == {}
-    # each candidate list keeps the order the rows were stored in
-    assert rel.candidates(Atom("R", (var("X"), b)), {}) == [(a, b), (c, b)]
-    assert rel.candidates(Atom("R", (var("X"), var("Y"))), {var("X"): a}) == [(a, b), (a, c)]
-    assert rel.candidates(Atom("A", (c,)), {}) == []
-    assert set(rel._by_pos) == {("R", 1), ("R", 0), ("A", 0)}
 
 
 # --- chase -------------------------------------------------------------------

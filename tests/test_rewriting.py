@@ -187,15 +187,12 @@ def test_eval_fo_matches_bruteforce_on_drawn_sentences(sentence, abox):
 
 
 def test_eval_fo_ground_atoms_read_the_stored_rows():
-    # a ground atom is a lookup in its predicate's stored rows, so a ground
-    # sentence builds no position index
-    # constants no other test uses, so the cached index of this ABox is fresh
+    # a ground atom is a lookup in its predicate's stored rows
     a, c = const("ground1"), const("ground2")
     abox = parse_abox("ProjA(ground1)\nProjB(ground2)\nR(ground1,ground2)")
     node = And((A("ProjA", a), Not(A("ProjB", a)), A("R", a, c), Not(A("R", c, a))))
     evaluator = _Evaluator(abox)
     assert evaluator.truth(node)
-    assert evaluator.rel._by_pos == {}
     assert not evaluator.truth(A("ProjB", a))
     assert not evaluator.truth(A("R", a, a))
 
