@@ -44,7 +44,6 @@ from .reasoner import (
     _abox_relations,
     _entailed_unchecked,
     _images,
-    _require_consistent,
     abox_closure,
     cq_entailed,
     denial_query,
@@ -111,9 +110,8 @@ def _guarded_closure(tbox: TBox, abox: ABox, limit: int | None) -> ABox:
     """The closure, for an exponential procedure: the inputs must be
     consistent, and then the closure must be within `limit` atoms (by
     default the size guard)."""
-    _require_consistent(tbox, abox)
-    limit = default_size_guard() if limit is None else limit
     closure = abox_closure(tbox, abox)
+    limit = default_size_guard() if limit is None else limit
     if len(closure) > limit:
         raise SizeGuardError(len(closure), limit)
     return closure
@@ -322,7 +320,6 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
     some rewritten body maps into it.  The secrets are therefore exactly the
     images with no other image as a proper subset, which a lookup of each
     image's proper subsets decides."""
-    _require_consistent(tbox, abox)
     closure = abox_closure(tbox, abox)
     rel = _abox_relations(closure)
     images: set[frozenset[Atom]] = set()

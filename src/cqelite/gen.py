@@ -40,6 +40,9 @@ CONCEPT_POOL = ["A", "B", "C", "D", "E", "G", "H", "K"]
 ROLE_POOL = ["R", "S", "T", "W"]
 CONST_POOL = list(string.ascii_lowercase[:8])
 VAR_POOL = ["X", "Y", "Z", "U", "V"]
+P_NEGATED = 0.25  # the chance that an axiom is a negative inclusion
+MAX_BODY = 3  # the most atoms in a denial body, a query or an FO sentence
+MAX_FO_DEPTH = 4  # the deepest nesting of a random FO sentence
 
 
 def _at_least(n: int, least: int, what: str) -> None:
@@ -62,28 +65,20 @@ def _random_basic(rng: random.Random, concepts, roles) -> BasicConcept:
     return BasicConcept(kind, rng.choice(roles))
 
 
-def random_tbox(
-    rng: random.Random,
-    n_concepts: int = 4,
-    n_roles: int = 2,
-    n_axioms: int | None = None,
-    p_negated: float = 0.25,
-) -> TBox:
+def random_tbox(rng: random.Random, n_concepts: int = 4, n_roles: int = 2) -> TBox:
     concepts = _take(CONCEPT_POOL, n_concepts, "concepts")
     _at_least(n_roles, 0, "roles")
     roles = _take(ROLE_POOL, n_roles, "roles") if n_roles else []
-    if n_axioms is None:
-        n_axioms = rng.randint(0, n_concepts + n_roles)
     axioms = []
-    for _ in range(n_axioms):
+    for _ in range(rng.randint(0, n_concepts + n_roles)):
         if roles and rng.random() < 0.2:
             lhs = RoleExpr(rng.choice(roles), rng.random() < 0.3)
             rhs = RoleExpr(rng.choice(roles), rng.random() < 0.3)
-            axioms.append(RoleInclusion(lhs, rhs, rng.random() < p_negated))
+            axioms.append(RoleInclusion(lhs, rhs, rng.random() < P_NEGATED))
         else:
             lhs = _random_basic(rng, concepts, roles)
             rhs = _random_basic(rng, concepts, roles)
-            axioms.append(ConceptInclusion(lhs, rhs, rng.random() < p_negated))
+            axioms.append(ConceptInclusion(lhs, rhs, rng.random() < P_NEGATED))
     return TBox.of(axioms, concept_names=concepts, role_names=roles)
 
 
@@ -123,14 +118,12 @@ def _random_body_atom(rng: random.Random, tbox: TBox, variables, consts) -> Atom
     return Atom(rng.choice(concepts), (term(),))
 
 
-def random_policy(
-    rng: random.Random, tbox: TBox, n_denials: int = 2, max_body: int = 3, n_consts: int = 4
-) -> Policy:
+def random_policy(rng: random.Random, tbox: TBox, n_denials: int = 2, n_consts: int = 4) -> Policy:
     consts = _take(CONST_POOL, n_consts, "constants")
     _at_least(n_denials, 0, "denials")
     denials = set()
     for _ in range(n_denials):
-        size = rng.randint(1, max_body)
+        size = rng.randint(1, MAX_BODY)
         variables = VAR_POOL[: rng.randint(1, 3)]
         body = frozenset(
             _random_body_atom(rng, tbox, variables, consts) for _ in range(size)
@@ -146,32 +139,27 @@ def random_instance(
     n_atoms: int = 6,
     n_denials: int = 2,
     n_consts: int = 4,
-    p_negated: float = 0.25,
 ) -> tuple[TBox, Policy, ABox]:
     """A reproducible (TBox, Policy, ABox) triple satisfying all engine
     preconditions."""
     rng = random.Random(seed)
-    tbox = random_tbox(rng, n_concepts, n_roles, p_negated=p_negated)
+    tbox = random_tbox(rng, n_concepts, n_roles)
     policy = random_policy(rng, tbox, n_denials, n_consts=n_consts)
     abox = random_abox(rng, tbox, n_atoms, n_consts)
     return tbox, policy, abox
 
 
-def random_bcq(
-    rng: random.Random, tbox: TBox, max_atoms: int = 3, n_consts: int = 4
-) -> ConjunctiveQuery:
+def random_bcq(rng: random.Random, tbox: TBox, n_consts: int = 4) -> ConjunctiveQuery:
     consts = _take(CONST_POOL, n_consts, "constants")
     variables = VAR_POOL[: rng.randint(1, 3)]
-    size = rng.randint(1, max_atoms)
+    size = rng.randint(1, MAX_BODY)
     atoms = frozenset(
         _random_body_atom(rng, tbox, variables, consts) for _ in range(size)
     )
     return ConjunctiveQuery(atoms)
 
 
-def random_fo_sentence(
-    rng: random.Random, tbox: TBox, max_atoms: int = 3, n_consts: int = 4, max_depth: int = 4
-) -> FONode:
+def random_fo_sentence(rng: random.Random, tbox: TBox, n_consts: int = 4) -> FONode:
     """A random closed formula over the signature: atoms under AND / OR /
     NOT / EXISTS, with every variable bound by construction."""
     consts = [const(c) for c in _take(CONST_POOL, n_consts, "constants")]
@@ -181,11 +169,11 @@ def random_fo_sentence(
 
     def go(depth: int, bound: list[Term]) -> FONode:
         options = []
-        if used[0] < max_atoms:
+        if used[0] < MAX_BODY:
             options += ["atom"] * 3
-        if depth < max_depth:
+        if depth < MAX_FO_DEPTH:
             options += ["not", "exists"]
-            if used[0] < max_atoms - 1:
+            if used[0] < MAX_BODY - 1:
                 options += ["and", "or"]
         if not options:
             return TRUE

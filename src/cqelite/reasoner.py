@@ -12,11 +12,13 @@ witnessed.  `chase_bounded` builds a truncated canonical model and serves
 as an independent entailment oracle for validating the rewriting.
 
 One matcher answers every conjunctive query match, by set joins over whole
-row sets: `_homomorphisms` joins the atoms' rows (`_atom_rows`, `_join`)
-one variable-connected component at a time.  It decides `eval_cq` and
-`chase_satisfies`, and yields the images behind `censors.secrets` and
+row sets: `_components` joins the atoms' rows (`_atom_rows`, `_join`)
+smallest first, one variable-connected component at a time, and
+`_homomorphisms` yields bindings over the components.  It decides `eval_cq`
+and `chase_satisfies`, and yields the images behind `censors.secrets` and
 `ib`'s counter-censor search and behind the pattern minimality check in
-`rewriting`; `eval_fo` evaluates FO sentences with the same two functions.
+`rewriting`.  `eval_fo` reads atoms with `_atom_rows` and joins the
+positive conjuncts of a conjunction with `_components`, in the same order.
 
 What is derived from an ABox (its closure, consistency, policy consistency
 and stored row sets, and the secrets and repair in `censors`) is memoized
@@ -328,33 +330,45 @@ def _join(v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple]) 
     return out_vars, out
 
 
-def _homomorphisms(atoms: Iterable[Atom], rel: _Relations) -> Iterator[dict]:
-    """Every map of the variables of `atoms` that sends each atom to a row
-    of `rel`, constants fixed.  The atoms' row sets are joined smallest
-    first, each next one sharing a variable with those already joined.
-    When none does, a variable-connected component is complete and the
-    next one starts from the smallest part left.  Components are never
-    joined: a binding takes one row of each, so a query whose components
-    all match yields its first binding without building their product."""
-    parts: list[_Rows] = []
-    for a in atoms:
-        v, rows = _atom_rows(a, rel)
-        if not rows:
-            return
-        if v:
-            parts.append((v, rows))
-    parts.sort(key=lambda p: len(p[1]))
+def _components(parts: Iterable[_Rows]) -> Optional[list[_Rows]]:
+    """Join row sets into one row set per variable-connected component, or
+    None as soon as a part or a join comes out empty, so `parts` is read no
+    further than its first empty one.  Parts over no variables hold the
+    empty row and are dropped.  The rest are joined smallest first, each
+    next one sharing a variable with those already joined; when none does,
+    the component is complete and the next one starts from the smallest
+    part left."""
+    todo: list[_Rows] = []
+    for part in parts:
+        if not part[1]:
+            return None
+        if part[0]:
+            todo.append(part)
+    todo.sort(key=lambda p: len(p[1]))
     components: list[_Rows] = []
-    while parts:
-        cur_vars, cur = parts.pop(0)
+    while todo:
+        cur_vars, cur = todo.pop(0)
         while True:
-            i = next((i for i, (v, _) in enumerate(parts) if any(x in cur_vars for x in v)), None)
+            i = next((i for i, (v, _) in enumerate(todo) if any(x in cur_vars for x in v)), None)
             if i is None:
                 break
-            cur_vars, cur = _join(cur_vars, cur, *parts.pop(i))
+            cur_vars, cur = _join(cur_vars, cur, *todo.pop(i))
             if not cur:
-                return
+                return None
         components.append((cur_vars, cur))
+    return components
+
+
+def _homomorphisms(atoms: Iterable[Atom], rel: _Relations) -> Iterator[dict]:
+    """Every map of the variables of `atoms` that sends each atom to a row
+    of `rel`, constants fixed.  The atoms' row sets are joined per
+    variable-connected component (`_components`), and the components are
+    never joined: a binding takes one row of each, so a query whose
+    components all match yields its first binding without building their
+    product."""
+    components = _components(_atom_rows(a, rel) for a in atoms)
+    if components is None:
+        return
     names = [x for v, _ in components for x in v]
     for rows in product(*(rows for _, rows in components)):
         yield dict(zip(names, chain.from_iterable(rows)))

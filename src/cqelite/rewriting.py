@@ -2,17 +2,21 @@
 
 `eval_fo` evaluates an FO sentence over an ABox with quantifiers ranging over
 the active domain.  It works on whole sets of rows: an atom over distinct
-variables reads its predicate's stored rows as they are, conjuncts over the
-same variables are intersected and a negated one is subtracted, and a
-sentence stops at its first true disjunct, with an `Exists` prefix split
-across the disjuncts of an `Or` so that variable-disjoint disjuncts are never
-spread over the active domain.
+variables reads its predicate's stored rows as they are, the positive
+conjuncts of a conjunction are joined in the conjunctive query matcher's
+order and a negated one is subtracted, and a sentence stops at its first
+true disjunct, with an `Exists` prefix split across the disjuncts of an `Or`
+so that variable-disjoint disjuncts are never spread over the active domain.
 
 `atom_rewr` pushes entailed subsumptions into a query so that evaluating the
 result over the raw data simulates evaluating the input over the ground-atom
 closure.  `iar_rewrite` reformulates a conjunctive query so that its
 evaluation decides entailment from the repair (the data minus all minimal
-policy-violating subsets), and `qib_rewrite` composes the two.
+policy-violating subsets), and `qib_rewrite` composes the two.  The first
+two each number their fresh variables X_v1, X_v2, ... anew (`_fresh_vars`),
+so in `qib_rewrite` a witness of `atom_rewr` may reuse a name that a repair
+guard binds.  That is safe: the witness is bound around one atom only, and
+it skips a name equal to that atom's own term.
 
 The repair guards deserve a note.  An atom is unsafe iff it lies in some
 *minimal* violating subset, and a naive "some rewritten denial body matches
@@ -28,9 +32,9 @@ solely for this purpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import product
-from typing import Iterable, Optional
+from functools import cached_property, lru_cache, partial
+from itertools import count, product
+from typing import Iterable, Iterator, Optional
 
 from .model import (
     ABox,
@@ -63,11 +67,14 @@ from .reasoner import (
     _atom_key,
     _atom_rows,
     _canonical_cq,
+    _components,
     _images,
     _join,
     _reorder,
+    concept_atom,
     denial_query,
     perfect_ref,
+    role_atom,
     saturate_tbox,
 )
 
@@ -89,11 +96,14 @@ class _Evaluator:
     - an atom over pairwise-distinct variables yields its predicate's
       stored row set as it is, and a ground atom is a lookup in that set
       (`reasoner._atom_rows`, shared with the conjunctive query matcher);
-    - conjuncts over the same variables are intersected, and a negated one
-      is subtracted, after their columns are put in the same order; other
-      conjuncts are hash-joined (`reasoner._join`, shared with the matcher);
-      disjuncts that differ only in column order are re-ordered, not
-      spread; a conjunction stops at its first empty intermediate result;
+    - the positive conjuncts are joined in the matcher's order
+      (`reasoner._components`): smallest first, one variable-connected
+      component at a time, intersected when they range over the same
+      variables and hash-joined otherwise; a conjunction stops at its first
+      empty conjunct or join, and only its variable-disjoint components are
+      multiplied; a negated conjunct is subtracted after the columns are put
+      in the same order; disjuncts that differ only in column order are
+      re-ordered, not spread;
     - `truth` stops a sentence at its first true disjunct, and splits an
       `Exists` prefix across the disjuncts of an `Or`, keeping only the
       variables free in each, so variable-disjoint disjuncts are never
@@ -182,19 +192,12 @@ class _Evaluator:
         return (l, r), {(a, a) for a in self.adom}
 
     def _and_rows(self, node: And) -> _Rows:
-        parts = []
-        for c in node.children:
-            if not isinstance(c, Not):
-                part = self.rows(c)
-                if not part[1]:
-                    return part
-                parts.append(part)
-        parts.sort(key=lambda p: len(p[1]))
-        cur_vars, cur = parts[0] if parts else ((), {()})
-        for v, rws in parts[1:]:
+        components = _components(self.rows(c) for c in node.children if not isinstance(c, Not))
+        if components is None:
+            return (), set()
+        cur_vars, cur = components[0] if components else ((), {()})
+        for v, rws in components[1:]:
             cur_vars, cur = _join(cur_vars, cur, v, rws)
-            if not cur:
-                return cur_vars, cur
         for c in node.children:
             if not isinstance(c, Not):
                 continue
@@ -242,14 +245,9 @@ def eval_fo(q: FONode, abox: ABox) -> bool:
 # --- subsumption expansion ------------------------------------------------------
 
 
-def _dedup(nodes: list[FONode]) -> list[FONode]:
-    seen: set[FONode] = set()
-    out = []
-    for n in nodes:
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-    return out
+def _fresh_vars() -> Iterator[Term]:
+    """The fresh variables of one rewriting: X_v1, X_v2, ..."""
+    return (var(f"X_v{i}") for i in count(1))
 
 
 def atom_rewr(q: FONode, tbox: TBox) -> FONode:
@@ -257,37 +255,27 @@ def atom_rewr(q: FONode, tbox: TBox) -> FONode:
     entail it: subsumed concepts, role domains/ranges for concept atoms, and
     subsumed (possibly inverted) roles for role atoms."""
     maps = saturate_tbox(tbox)
-    counter = [0]
-
-    def fresh() -> Term:
-        counter[0] += 1
-        return var(f"X_v{counter[0]}")
+    names = _fresh_vars()
 
     def expand_concept(pred: str, t: Term) -> FONode:
         target = atomic(pred)
-        subs = maps.concept_subsumees.get(target, [target])
         parts: list[FONode] = []
-        for b in subs:
+        for b in maps.concept_subsumees.get(target, [target]):
             if b.kind == "atomic":
-                parts.append(AtomNode(Atom(b.name, (t,))))
-            elif b.kind == "exists":
-                x = fresh()
-                parts.append(Exists(x, AtomNode(Atom(b.name, (t, x)))))
-            else:
-                x = fresh()
-                parts.append(Exists(x, AtomNode(Atom(b.name, (x, t)))))
+                parts.append(AtomNode(concept_atom(b, t, t)))
+                continue
+            # the witness is bound around this atom alone, so only the
+            # atom's own term can be captured
+            x = next(names)
+            if x == t:
+                x = next(names)
+            parts.append(Exists(x, AtomNode(concept_atom(b, t, x))))
         return fo_or(parts)
 
     def expand_role(pred: str, t1: Term, t2: Term) -> FONode:
         target = RoleExpr(pred)
         subs = maps.role_subsumees.get(target, [target])
-        parts: list[FONode] = []
-        for r in subs:
-            if r.inverse:
-                parts.append(AtomNode(Atom(r.name, (t2, t1))))
-            else:
-                parts.append(AtomNode(Atom(r.name, (t1, t2))))
-        return fo_or(_dedup(parts))
+        return fo_or(dict.fromkeys(AtomNode(role_atom(r, t1, t2)) for r in subs))
 
     def walk(node: FONode) -> FONode:
         if isinstance(node, AtomNode):
@@ -459,12 +447,7 @@ def _build_iar(
     q: ConjunctiveQuery, tbox: TBox, policy: Policy
 ) -> tuple[FONode, int, int]:
     patterns, rc = _conflict_patterns(tbox, policy)
-    counter = [0]
-
-    def fresh() -> Term:
-        counter[0] += 1
-        return var(f"X_v{counter[0]}")
-
+    fresh = partial(next, _fresh_vars())
     rewrites = sorted(perfect_ref(q, tbox), key=_cq_key)
     guard_count = 0
     disjuncts: list[FONode] = []
@@ -477,12 +460,12 @@ def _build_iar(
                     g = _guard_for(alpha, beta, pattern, rc, fresh)
                     if g is not None:
                         guards.append(Not(g))
-        guards = _dedup(guards)
+        guards = list(dict.fromkeys(guards))
         guard_count += len(guards)
         body = fo_and([AtomNode(a) for a in atoms] + guards)
         disjuncts.append(fo_exists(sorted(q1.variables), body))
 
-    return fo_or(_dedup(disjuncts)), len(rewrites), guard_count
+    return fo_or(dict.fromkeys(disjuncts)), len(rewrites), guard_count
 
 
 def iar_rewrite(q: ConjunctiveQuery, tbox: TBox, policy: Policy) -> FONode:

@@ -140,7 +140,7 @@ def test_criterion_3_eval_transfer_property():
     mismatches = 0
     total = 0
     for _, t, _, a in _small_instances(1000, start_seed=30_000):
-        sentence = random_fo_sentence(rng, t, max_atoms=3)
+        sentence = random_fo_sentence(rng, t)
         closed = abox_closure(t, a)
         if eval_fo(sentence, closed) != eval_fo(atom_rewr(sentence, t), a):
             mismatches += 1

@@ -266,6 +266,32 @@ def test_entail_semantics(files, capsys, query, semantics, want):
     assert payload["elapsed_ms"] >= 0
 
 
+@pytest.mark.parametrize(
+    "semantics,want", [("certain", True), ("ib", False), ("qib", False), ("qib-fo", False)]
+)
+def test_qib_fo_witness_never_captures_a_guard_variable(tmp_path, capsys, semantics, want):
+    """`qib-fo` expands the guard atom `B(X_v1)` under `ex R [= B` with a
+    fresh witness that must not be named `X_v1` too, or the guard would
+    ask for the loop `R(X_v1, X_v1)`, find none and keep `B(c)` visible."""
+    from cqelite import parse_abox, parse_policy, parse_query, parse_tbox, qib_entail_bruteforce
+
+    texts = {
+        "tbox": "ex R [= B\nex R- [= D\nrole R [= R\n",
+        "policy": "denial :- A(X), R(X,X), S(a,Y)\ndenial :- B(Z), D(X), S(X,Z)\n",
+        "abox": "C(b)\nD(a)\nR(c,b)\nS(b,c)\nS(c,c)\n",
+        "query": "q :- B(X)\n",
+    }
+    argv = ["entail", "--semantics", semantics]
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+        argv += [f"--{name}", str(tmp_path / f"{name}.txt")]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert payload["entailed"] is want
+    t, p, a = parse_tbox(texts["tbox"]), parse_policy(texts["policy"]), parse_abox(texts["abox"])
+    assert qib_entail_bruteforce(t, p, a, parse_query(texts["query"])) is False
+
+
 def test_qib_and_qib_fo_agree_on_generated_instances(tmp_path, capsys):
     from cqelite.gen import random_bcq, random_instance
     from cqelite.parser import serialize

@@ -25,6 +25,7 @@ from cqelite import (
     var,
 )
 from cqelite.model import And, AtomNode, Eq, Exists, Not, Or, TRUE, Truth, cq_to_fo, node_count
+from cqelite import reasoner, rewriting
 from cqelite.rewriting import _Evaluator
 from cqelite.gen import random_bcq, random_fo_sentence, random_instance
 
@@ -215,6 +216,32 @@ def test_eval_fo_disjoint_disjuncts_are_never_spread(monkeypatch):
     assert [eval_fo(node, ab) for ab in (only_a, only_b, ABox.of())] == [True, True, False]
 
 
+def test_eval_fo_joins_conjuncts_one_connected_component_at_a_time(monkeypatch):
+    """The positive conjuncts of a conjunction are joined in the matcher's
+    order: `A` and `B` are the smallest, but they share no variable, so
+    `A(X), R(X,Y), B(Y)` joins `R` before it meets `B` and never builds
+    `A` x `B`.  The same holds for the query's `qib` rewriting, where the
+    TBox puts an `Or` under the conjunction and the policy a negated
+    guard."""
+    join = reasoner._join
+
+    def no_product(v1, r1, v2, r2):
+        assert any(x in v1 for x in v2), f"product of {v1} and {v2}"
+        return join(v1, r1, v2, r2)
+
+    monkeypatch.setattr(reasoner, "_join", no_product)
+    monkeypatch.setattr(rewriting, "_join", no_product)
+    query = q("A(X), R(X,Y), B(Y)")
+    t, p = parse_tbox("C [= A"), parse_policy("denial :- B(X), D(X)")
+    sentences = [cq_to_fo(query), qib_rewrite(query, t, p)]
+    atoms = [Atom("A", (const(f"a{i}"),)) for i in range(300)]
+    atoms += [Atom("B", (const(f"b{i}"),)) for i in range(300)]
+    atoms += [Atom("R", (const(f"a{i % 300}"), const(f"r{i}"))) for i in range(3000)]
+    edge = Atom("R", (const("a7"), const("b9")))
+    for abox, want in ((ABox.of(atoms + [edge]), True), (ABox.of(atoms), False)):
+        assert [eval_fo(s, abox) for s in sentences] == [want, want]
+
+
 # --- subsumption expansion ----------------------------------------------------------
 
 
@@ -254,6 +281,19 @@ def test_atom_rewr_role_atom_includes_inverse_subroles():
     node = atom_rewr(cq_to_fo(q("R(X,Y)")), t)
     assert eval_fo(node, parse_abox("S(a,b)"))
     assert not eval_fo(node, parse_abox(""))
+
+
+def test_atom_rewr_witness_never_captures_the_atoms_own_term():
+    """Expanding `A(X_v1)` under `ex R [= A` binds a fresh witness around
+    `R(X_v1, _)`; reusing the name `X_v1` there would turn it into the
+    loop `R(X_v1, X_v1)`."""
+    t = parse_tbox("ex R [= A")
+    node = Exists(var("X_v1"), A("A", var("X_v1")))
+    rewritten = atom_rewr(node, t)
+    assert serialize_fo(rewritten) == "EXISTS X_v1 . (A(X_v1) OR (EXISTS X_v2 . R(X_v1,X_v2)))"
+    abox = parse_abox("R(a,b)")
+    assert eval_fo(node, abox_closure(t, abox))
+    assert eval_fo(rewritten, abox)
 
 
 def test_eval_transfer_property():
