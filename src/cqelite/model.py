@@ -1,14 +1,22 @@
 """Immutable core types: ontologies, policies, queries, FO formulas.
 
-All types are frozen dataclasses with value semantics, so they can be used
-as dict keys and set members and shared freely across threads.  A single
-global ordering over ground atoms (`atom_order_key`) is defined here and is
-the "lexicographic" order used by the greedy censor construction.
+`Term`, `Atom`, `BasicConcept` and `RoleExpr` fill every row set, closure
+and image the reasoner builds, so they are `namedtuple` subclasses: hashing,
+equality and ordering then run in C for each of the many set operations
+that join, intersect and deduplicate them.  Each still validates its fields
+in `__new__` and has no instance `__dict__`.  Being tuples, they also compare
+equal to a plain tuple of their fields (`const("a") == ("const", "a")`).
+Every other type is a frozen dataclass.  All have value semantics, so they
+can be used as dict keys and set members and shared freely across threads.
+A single global ordering over ground atoms (`atom_order_key`) is defined
+here and is the "lexicographic" order used by the greedy censor
+construction.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -30,18 +38,24 @@ def is_reserved_ident(name: str) -> bool:
     return bool(RESERVED_RE.search(name))
 
 
-@dataclass(frozen=True, order=True)
-class Term:
-    """A constant or a variable; equality is by (kind, name)."""
+def _validated_make(cls, fields):
+    # namedtuple's `_make` (and so `_replace`) would build the tuple without
+    # calling `__new__`; route both through the validating constructor
+    return cls(*fields)
 
-    kind: str
-    name: str
 
-    def __post_init__(self):
-        if self.kind not in (CONST, VAR):
-            raise ValueError(f"bad term kind: {self.kind!r}")
-        if not is_valid_ident(self.name):
-            raise ValueError(f"bad term name: {self.name!r}")
+class Term(namedtuple("Term", "kind name")):
+    """A constant or a variable; equality and order are by (kind, name)."""
+
+    __slots__ = ()
+    _make = classmethod(_validated_make)
+
+    def __new__(cls, kind: str, name: str):
+        if kind not in (CONST, VAR):
+            raise ValueError(f"bad term kind: {kind!r}")
+        if not is_valid_ident(name):
+            raise ValueError(f"bad term name: {name!r}")
+        return tuple.__new__(cls, (kind, name))
 
     @property
     def is_var(self) -> bool:
@@ -63,18 +77,19 @@ def var(name: str) -> Term:
     return Term(VAR, name)
 
 
-@dataclass(frozen=True)
-class Atom:
-    """A concept atom A(t) or a role atom P(t1,t2)."""
+class Atom(namedtuple("Atom", "predicate args")):
+    """A concept atom A(t) or a role atom P(t1,t2); `args` is a tuple of
+    `Term`s."""
 
-    predicate: str
-    args: tuple[Term, ...]
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self):
-        if not is_valid_ident(self.predicate):
-            raise ValueError(f"bad predicate name: {self.predicate!r}")
-        if len(self.args) not in (1, 2):
-            raise ValueError(f"atom arity must be 1 or 2, got {len(self.args)}")
+    def __new__(cls, predicate: str, args: tuple):
+        if not is_valid_ident(predicate):
+            raise ValueError(f"bad predicate name: {predicate!r}")
+        if len(args) not in (1, 2):
+            raise ValueError(f"atom arity must be 1 or 2, got {len(args)}")
+        return tuple.__new__(cls, (predicate, args))
 
     @property
     def arity(self) -> int:
@@ -98,16 +113,16 @@ EXISTS = "exists"
 EXISTS_INV = "exists_inv"
 
 
-@dataclass(frozen=True, order=True)
-class BasicConcept:
+class BasicConcept(namedtuple("BasicConcept", "kind name")):
     """An atomic concept, or the domain/range of a role (exists / exists_inv)."""
 
-    kind: str
-    name: str
+    __slots__ = ()
+    _make = classmethod(_validated_make)
 
-    def __post_init__(self):
-        if self.kind not in (ATOMIC, EXISTS, EXISTS_INV):
-            raise ValueError(f"bad concept kind: {self.kind!r}")
+    def __new__(cls, kind: str, name: str):
+        if kind not in (ATOMIC, EXISTS, EXISTS_INV):
+            raise ValueError(f"bad concept kind: {kind!r}")
+        return tuple.__new__(cls, (kind, name))
 
     def __repr__(self):
         if self.kind == ATOMIC:
@@ -127,12 +142,10 @@ def exists_inv(role: str) -> BasicConcept:
     return BasicConcept(EXISTS_INV, role)
 
 
-@dataclass(frozen=True, order=True)
-class RoleExpr:
+class RoleExpr(namedtuple("RoleExpr", "name inverse", defaults=(False,))):
     """A role name or its inverse."""
 
-    name: str
-    inverse: bool = False
+    __slots__ = ()
 
     def inverted(self) -> RoleExpr:
         return RoleExpr(self.name, not self.inverse)

@@ -252,8 +252,9 @@ _Rows = tuple[tuple[Term, ...], AbstractSet[tuple]]
 
 class _Relations:
     """Stored argument tuples (over any term type), one set per predicate
-    and arity; each set is built on first use, so a store read for a few
-    predicates only hashes their rows."""
+    and arity, read from (predicate, args) pairs: `Atom`s as they are, or
+    the chase's plain pairs.  Each set is built on first use, so a store
+    read for a few predicates only hashes their rows."""
 
     def __init__(self, facts: Iterable[tuple[str, tuple]]):
         self._rows: dict[tuple[str, int], list[tuple]] = {}
@@ -310,7 +311,9 @@ def _reorder(v: tuple, rows: AbstractSet[tuple], out_vars: tuple) -> AbstractSet
 def _join(v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple]) -> _Rows:
     """The natural join of two row sets: an intersection when they range
     over the same variables, a hash join on the shared ones otherwise (a
-    product when they share none)."""
+    product when they share none).  The smaller side is indexed and the
+    larger one probes it; the output ranges over `v1` and then the rest of
+    `v2`, whichever side is indexed."""
     if len(v1) == len(v2) and set(v1) == set(v2):
         if len(r1) > len(r2):
             v1, r1, v2, r2 = v2, r2, v1, r1
@@ -321,12 +324,21 @@ def _join(v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple]) 
     pos2 = [v2.index(x) for x in shared]
     rest2 = [i for i, x in enumerate(v2) if x not in v1]
     index: dict[tuple, list[tuple]] = {}
-    for r in r2:
-        index.setdefault(tuple(r[i] for i in pos2), []).append(tuple(r[i] for i in rest2))
     out = set()
-    for r in r1:
-        for tail in index.get(tuple(r[i] for i in pos1), ()):
-            out.add(r + tail)
+    if len(r1) <= len(r2):
+        for r in r1:
+            index.setdefault(tuple(r[i] for i in pos1), []).append(r)
+        for r in r2:
+            heads = index.get(tuple(r[i] for i in pos2))
+            if heads:
+                tail = tuple(r[i] for i in rest2)
+                out.update(head + tail for head in heads)
+    else:
+        for r in r2:
+            index.setdefault(tuple(r[i] for i in pos2), []).append(tuple(r[i] for i in rest2))
+        for r in r1:
+            for tail in index.get(tuple(r[i] for i in pos1), ()):
+                out.add(r + tail)
     return out_vars, out
 
 
@@ -383,7 +395,7 @@ def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]
 
 @memo_on_abox
 def _abox_relations(abox: ABox) -> _Relations:
-    return _Relations((a.predicate, a.args) for a in abox.atoms)
+    return _Relations(abox.atoms)
 
 
 def eval_cq(q: ConjunctiveQuery, abox: ABox) -> bool:

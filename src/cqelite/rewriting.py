@@ -317,7 +317,7 @@ def _partitions(items: list) -> Iterable[list[list]]:
 def _has_proper_subimage(raw: list[ConjunctiveQuery], quotient: ConjunctiveQuery) -> bool:
     """True if some raw pattern maps into the quotient's atoms with an image
     that misses at least one of them (the quotient is then non-minimal)."""
-    rel = _Relations((a.predicate, a.args) for a in quotient.atoms)
+    rel = _Relations(quotient.atoms)
     target = quotient.atoms
     for f in raw:
         if len(f.atoms) > len(target):

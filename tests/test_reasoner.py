@@ -488,6 +488,57 @@ def test_match_cases_reach_constants_repeats_disjoint_atoms_nulls_and_variables(
         )
 
 
+def join_by_nested_loops(v1, r1, v2, r2) -> set[frozenset]:
+    """Reference natural join: every pair of rows that agree on the shared
+    variables, as bindings."""
+    out = set()
+    for a in r1:
+        for b in r2:
+            binding = dict(zip(v1, a))
+            if all(binding.setdefault(x, y) == y for x, y in zip(v2, b)):
+                out.add(frozenset(binding.items()))
+    return out
+
+
+join_terms = [var(n) for n in "XYZW"]
+join_values = [const(n) for n in "abc"]
+
+
+@st.composite
+def join_cases(draw):
+    """Two row sets over variable tuples that are drawn freely, identical,
+    permuted or disjoint; small value domains so that many rows match."""
+    v1 = tuple(draw(st.lists(st.sampled_from(join_terms), unique=True, max_size=3)))
+    shape = draw(st.sampled_from(["free", "identical", "permuted", "disjoint"]))
+    if shape == "identical":
+        v2 = v1
+    elif shape == "permuted":
+        v2 = tuple(draw(st.permutations(v1)))
+    else:
+        pool = join_terms if shape == "free" else [x for x in join_terms if x not in v1]
+        v2 = tuple(draw(st.lists(st.sampled_from(pool), unique=True, max_size=3)))
+
+    def rows(v):
+        return draw(st.sets(st.tuples(*[st.sampled_from(join_values)] * len(v)), max_size=15))
+
+    return v1, rows(v1), v2, rows(v2)
+
+
+@settings(max_examples=300)
+@given(join_cases())
+def test_join_matches_nested_loops_whichever_side_is_smaller(case):
+    v1, r1, v2, r2 = case
+    want = join_by_nested_loops(v1, r1, v2, r2)
+    # both argument orders, so the smaller side is indexed on either side
+    for a, b in ((v1, r1), (v2, r2)), ((v2, r2), (v1, r1)):
+        out_vars, rows = reasoner._join(*a, *b)
+        if set(a[0]) != set(b[0]):
+            assert out_vars == a[0] + tuple(x for x in b[0] if x not in a[0])
+        assert sorted(out_vars) == sorted(set(v1) | set(v2))
+        assert all(len(r) == len(out_vars) for r in rows)
+        assert {frozenset(zip(out_vars, r)) for r in rows} == want
+
+
 def test_eval_cq_never_multiplies_disjoint_components(monkeypatch):
     """Each variable-connected component is decided on its own: no two row
     sets that share no variable are ever joined."""
