@@ -26,6 +26,7 @@ from .gen import random_instance
 from .model import ABox, ConjunctiveQuery, Policy, TBox
 from .parser import (
     ParseError,
+    _ground_atoms,
     check_signature,
     parse_abox,
     parse_policy,
@@ -50,6 +51,14 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_SIZE_GUARD = 4
+
+# the exit code for each error `main` reports; the first matching class wins
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    ValueError: EXIT_PARSE,
+    InconsistentOntologyError: EXIT_PRECONDITION,
+    SizeGuardError: EXIT_SIZE_GUARD,
+}
 
 
 def _read(path: str, kind: str, parse) -> object:
@@ -114,12 +123,9 @@ def cmd_closure(args) -> int:
 
 def _load_order(args) -> AtomOrder:
     if args.order_file:
-        # line order matters, so parse one atom per line
-        ordered = []
-        for ln in _read(args.order_file, "order", str.splitlines):
-            if ln.split("#", 1)[0].strip():
-                ordered.extend(parse_abox(ln).atoms)
-        return AtomOrder.explicit(ordered)
+        # line order matters, so keep the atoms as the file lists them
+        atoms = _read(args.order_file, "order", lambda text: _ground_atoms("order", text))
+        return AtomOrder.explicit(atoms)
     return AtomOrder.lex()
 
 
@@ -296,18 +302,9 @@ def main(argv=None) -> int:
         if limit is not None and limit < 1:
             raise ParseError("args", 1, 1, "--limit must be at least 1")
         return args.run(args)
-    except ParseError as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except InconsistentOntologyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE_GUARD
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -294,9 +294,6 @@ class Denial:
     def variables(self) -> frozenset[Term]:
         return frozenset(v for a in self.body for v in a.variables())
 
-    def sorted_body(self) -> list[Atom]:
-        return sorted(self.body, key=atom_order_key)
-
 
 @dataclass(frozen=True)
 class Policy:

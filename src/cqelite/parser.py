@@ -12,14 +12,27 @@ variables are lowercase).
     query line   q :- A(X), R(X,c)
 
 Serialization is canonical: parse(serialize(v)) == v for every parsed value.
+
+Bad input raises `ParseError`, whose text is
+
+    <kind>:<line>:<column>: <message> near '<token>'
+
+and which the CLI prints after "error: ".  The kind names the input: tbox,
+abox, policy, query or order for a file, signature for a name whose arity
+differs between files (`check_signature`), args for a bad option value.
+Lines and columns are 1-based and count the raw text: comment and blank
+lines count as lines, and leading whitespace as columns.  The " near" part
+is left out when there is no token, as at the end of a line.
+A line is tokenized whole before it is parsed, so an unexpected character
+is reported before any grammar error on its line.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .model import (
+    ATOMIC,
     ABox,
     And,
     Atom,
@@ -39,6 +52,7 @@ from .model import (
     TBox,
     Term,
     Truth,
+    atom_order_key,
     atomic,
     const,
     exists,
@@ -62,226 +76,185 @@ class ParseError(Exception):
         super().__init__(f"{where}: {message}{tok}")
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<incl>\[=)"
-    r"|(?P<neck>:-)"
-    r"|(?P<sym>[(),\-])"
-)
+_TOKEN_RE = re.compile(r"(?P<ident>[A-Za-z][A-Za-z0-9_]*)|\[=|:-|[(),\-]|(?P<bad>\S)")
 
 
-@dataclass
-class _Tok:
-    kind: str  # 'ident' | '[=' | ':-' | '(' | ')' | ',' | '-' | 'eol'
-    text: str
-    col: int
+class _Cursor:
+    """The tokens of one line, read left to right.  A token is a
+    `(kind, text, column)` tuple: the kind is 'ident', the symbol itself, or
+    'eol' for the one that ends the line."""
 
+    def __init__(self, kind: str, lineno: int, body: str):
+        self.kind, self.lineno, self.i = kind, lineno, 0
+        # a symbol matches no named group, so its kind is its text
+        self.toks = [(m.lastgroup or m[0], m[0], m.start() + 1) for m in _TOKEN_RE.finditer(body)]
+        for tok in self.toks:
+            if tok[0] == "bad":
+                self.error("unexpected character", tok)
+        self.toks.append(("eol", "", len(body) + 1))
 
-class _Line:
-    """Token stream for a single line."""
+    @property
+    def col(self) -> int:
+        return self.toks[self.i][2]
 
-    def __init__(self, kind: str, lineno: int, text: str):
-        self.kind = kind
-        self.lineno = lineno
-        self.toks: list[_Tok] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise ParseError(kind, lineno, pos + 1, "unexpected character", text[pos])
-            if m.lastgroup != "ws":
-                val = m.group()
-                tk = val if m.lastgroup != "ident" else "ident"
-                self.toks.append(_Tok(tk, val, pos + 1))
-            pos = m.end()
-        self.toks.append(_Tok("eol", "", len(text) + 1))
-        self.i = 0
+    def error(self, message: str, tok: tuple | None = None):
+        _, text, col = tok or self.toks[self.i]
+        raise ParseError(self.kind, self.lineno, col, message, text)
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        if t.kind != "eol":
+    def skip(self, kind: str) -> bool:
+        """Consume the next token if it is of `kind`."""
+        if self.toks[self.i][0] == kind:
             self.i += 1
-        return t
+            return True
+        return False
 
-    def expect(self, kind: str, what: str) -> _Tok:
-        t = self.next()
-        if t.kind != kind:
-            self.error(f"expected {what}", t)
-        return t
+    def keyword(self, word: str) -> bool:
+        """Consume `word` if a name follows it, so `ex` and `role` can still
+        be names themselves."""
+        toks, i = self.toks, self.i
+        if toks[i][1] == word and toks[i + 1][0] == "ident":
+            self.i += 1
+            return True
+        return False
 
-    def error(self, message: str, tok: _Tok | None = None):
-        t = tok or self.peek()
-        raise ParseError(self.kind, self.lineno, t.col, message, t.text)
+    def expect(self, kind: str, what: str) -> tuple:
+        tok = self.toks[self.i]
+        if tok[0] != kind:
+            self.error(f"expected {what}", tok)
+        self.i += 1
+        return tok
 
-    def ident(self, what: str) -> _Tok:
-        t = self.expect("ident", what)
-        if is_reserved_ident(t.text):
-            raise ParseError(
-                self.kind, self.lineno, t.col,
-                "identifiers containing '_v' followed by a digit are reserved",
-                t.text,
-            )
-        return t
+    def ident(self, what: str) -> tuple:
+        tok = self.expect("ident", what)
+        if is_reserved_ident(tok[1]):
+            self.error("identifiers containing '_v' followed by a digit are reserved", tok)
+        return tok
 
     def end(self):
-        t = self.peek()
-        if t.kind != "eol":
-            self.error("trailing input", t)
+        if self.toks[self.i][0] != "eol":
+            self.error("trailing input")
 
 
 def _lines(kind: str, text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        if not body.strip():
-            continue
-        yield _Line(kind, lineno, body)
+        if body.strip():
+            yield _Cursor(kind, lineno, body)
 
 
-def _term(line: _Line, what: str = "term") -> Term:
-    t = line.ident(what)
-    if t.text[0].isupper():
-        return var(t.text)
-    return const(t.text)
+def _check_arity(arities: dict[str, int], name: str, arity: int, kind: str, line: int, col: int):
+    """One name, one arity: a name is a concept (1) or a role (2), never both."""
+    if arities.setdefault(name, arity) != arity:
+        raise ParseError(kind, line, col, f"{name!r} used as both concept and role", name)
 
 
-def _constant(line: _Line) -> Term:
-    t = line.ident("constant")
-    if t.text[0].isupper():
-        line.error("expected a constant (lowercase-initial), got a variable", t)
-    return const(t.text)
+def _arg(cur: _Cursor, ground: bool) -> Term:
+    tok = cur.ident("constant" if ground else "term")
+    if not tok[1][0].isupper():
+        return const(tok[1])
+    if ground:
+        cur.error("expected a constant (lowercase-initial), got a variable", tok)
+    return var(tok[1])
 
 
-def _atom(line: _Line, *, ground: bool) -> Atom:
-    pred = line.ident("predicate name")
-    line.expect("(", "'('")
-    args = [_constant(line) if ground else _term(line)]
-    if line.peek().kind == ",":
-        line.next()
-        args.append(_constant(line) if ground else _term(line))
-    line.expect(")", "')'")
-    return Atom(pred.text, tuple(args))
+def _atom(cur: _Cursor, ground: bool) -> Atom:
+    pred = cur.ident("predicate name")[1]
+    cur.expect("(", "'('")
+    args = [_arg(cur, ground)]
+    if cur.skip(","):
+        args.append(_arg(cur, ground))
+    cur.expect(")", "')'")
+    return Atom(pred, tuple(args))
 
 
-class _Arities:
-    """Tracks predicate arities to reject concept/role conflicts."""
-
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.seen: dict[str, int] = {}
-
-    def record(self, line: _Line, name: str, arity: int, col: int):
-        old = self.seen.setdefault(name, arity)
-        if old != arity:
-            raise ParseError(
-                self.kind, line.lineno, col,
-                f"{name!r} used as both concept and role", name,
-            )
+def _basic(cur: _Cursor) -> BasicConcept:
+    if cur.keyword("ex"):
+        role = cur.ident("role name")[1]
+        return exists_inv(role) if cur.skip("-") else exists(role)
+    return atomic(cur.ident("concept name")[1])
 
 
-def _basic(line: _Line) -> BasicConcept:
-    t = line.peek()
-    if t.kind == "ident" and t.text == "ex" and line.peek(1).kind == "ident":
-        line.next()
-        role = line.ident("role name")
-        if line.peek().kind == "-":
-            line.next()
-            return exists_inv(role.text)
-        return exists(role.text)
-    name = line.ident("concept name")
-    return atomic(name.text)
+def _roleexpr(cur: _Cursor) -> RoleExpr:
+    return RoleExpr(cur.ident("role name")[1], cur.skip("-"))
 
 
-def _roleexpr(line: _Line) -> RoleExpr:
-    name = line.ident("role name")
-    if line.peek().kind == "-":
-        line.next()
-        return RoleExpr(name.text, inverse=True)
-    return RoleExpr(name.text)
-
-
-def _inclusion(line: _Line, side, arities: _Arities) -> tuple:
+def _inclusion(cur: _Cursor, side, arities: dict[str, int]) -> tuple:
     """The `lhs [= [-]rhs` rest of a TBox line, each side read by `side`:
     (lhs, rhs, negated)."""
 
     def expr():
-        col = line.peek().col
-        x = side(line)
-        arity = 1 if isinstance(x, BasicConcept) and x.kind == "atomic" else 2
-        arities.record(line, x.name, arity, col)
+        col = cur.col
+        x = side(cur)
+        arity = 1 if isinstance(x, BasicConcept) and x.kind == ATOMIC else 2
+        _check_arity(arities, x.name, arity, cur.kind, cur.lineno, col)
         return x
 
     lhs = expr()
-    line.expect("[=", "'[='")
-    negated = line.peek().kind == "-"
-    if negated:
-        line.next()
+    cur.expect("[=", "'[='")
+    negated = cur.skip("-")
     rhs = expr()
-    line.end()
+    cur.end()
     return lhs, rhs, negated
 
 
 def parse_tbox(text: str) -> TBox:
     """Parse inclusion and disjointness axioms; the signature is inferred."""
     axioms = []
-    arities = _Arities("tbox")
-    for line in _lines("tbox", text):
-        t = line.peek()
-        if t.kind == "ident" and t.text == "role" and line.peek(1).kind == "ident":
-            line.next()
-            axioms.append(RoleInclusion(*_inclusion(line, _roleexpr, arities)))
+    arities: dict[str, int] = {}
+    for cur in _lines("tbox", text):
+        if cur.keyword("role"):
+            axioms.append(RoleInclusion(*_inclusion(cur, _roleexpr, arities)))
         else:
-            axioms.append(ConceptInclusion(*_inclusion(line, _basic, arities)))
+            axioms.append(ConceptInclusion(*_inclusion(cur, _basic, arities)))
     return TBox.of(axioms)
+
+
+def _ground_atoms(kind: str, text: str) -> list[Atom]:
+    """The atoms of `text`, one per line, in file order."""
+    atoms = []
+    arities: dict[str, int] = {}
+    for cur in _lines(kind, text):
+        col = cur.col
+        atom = _atom(cur, ground=True)
+        cur.end()
+        _check_arity(arities, atom.predicate, atom.arity, kind, cur.lineno, col)
+        atoms.append(atom)
+    return atoms
 
 
 def parse_abox(text: str) -> ABox:
     """Parse ground atoms, one per line; duplicates collapse."""
-    atoms = set()
-    arities = _Arities("abox")
-    for line in _lines("abox", text):
-        col = line.peek().col
-        atom = _atom(line, ground=True)
-        line.end()
-        arities.record(line, atom.predicate, atom.arity, col)
-        atoms.add(atom)
-    return ABox(frozenset(atoms))
+    return ABox(frozenset(_ground_atoms("abox", text)))
 
 
-def _rule_body(line: _Line, head: str, arities: _Arities) -> frozenset[Atom]:
+def _rule_body(cur: _Cursor, head: str, arities: dict[str, int]) -> frozenset[Atom]:
     """The atoms of a `head :- atom, ..., atom` line."""
-    t = line.ident(f"'{head}'")
-    if t.text != head:
-        line.error(f"{line.kind} lines must start with '{head}'", t)
-    line.expect(":-", "':-'")
+    tok = cur.ident(f"'{head}'")
+    if tok[1] != head:
+        cur.error(f"{cur.kind} lines must start with '{head}'", tok)
+    cur.expect(":-", "':-'")
     body = []
-    while True:
-        col = line.peek().col
-        atom = _atom(line, ground=False)
-        arities.record(line, atom.predicate, atom.arity, col)
+    while not body or cur.skip(","):
+        col = cur.col
+        atom = _atom(cur, ground=False)
+        _check_arity(arities, atom.predicate, atom.arity, cur.kind, cur.lineno, col)
         body.append(atom)
-        if line.peek().kind != ",":
-            break
-        line.next()
-    line.end()
+    cur.end()
     return frozenset(body)
 
 
 def parse_policy(text: str) -> Policy:
     """Parse denial assertions of the form `denial :- atom, ..., atom`."""
-    arities = _Arities("policy")
+    arities: dict[str, int] = {}
     return Policy(
-        frozenset(Denial(_rule_body(line, "denial", arities)) for line in _lines("policy", text))
+        frozenset(Denial(_rule_body(cur, "denial", arities)) for cur in _lines("policy", text))
     )
 
 
 def parse_query(text: str) -> ConjunctiveQuery:
     """Parse a single Boolean conjunctive query `q :- atom, ..., atom`."""
-    arities = _Arities("query")
-    queries = [ConjunctiveQuery(_rule_body(line, "q", arities)) for line in _lines("query", text)]
+    arities: dict[str, int] = {}
+    queries = [ConjunctiveQuery(_rule_body(cur, "q", arities)) for cur in _lines("query", text)]
     if not queries:
         raise ParseError("query", 1, 1, "expected a query line")
     if len(queries) > 1:
@@ -303,17 +276,17 @@ def serialize_abox(abox: ABox) -> str:
     return "".join(repr(a) + "\n" for a in abox.sorted_atoms())
 
 
+def _rule(head: str, atoms) -> str:
+    """The `head :- body` line of a policy or a query, atoms in canonical order."""
+    return f"{head} :- {', '.join(repr(a) for a in sorted(atoms, key=atom_order_key))}"
+
+
 def serialize_policy(policy: Policy) -> str:
-    lines = []
-    for d in policy.denials:
-        body = ", ".join(repr(a) for a in d.sorted_body())
-        lines.append(f"denial :- {body}")
-    return "".join(line + "\n" for line in sorted(lines))
+    return "".join(line + "\n" for line in sorted(_rule("denial", d.body) for d in policy.denials))
 
 
 def serialize_query(q: ConjunctiveQuery) -> str:
-    body = ", ".join(repr(a) for a in q.sorted_atoms())
-    return f"q :- {body}\n"
+    return _rule("q", q.atoms) + "\n"
 
 
 def serialize_fo(node: FONode) -> str:
@@ -364,21 +337,14 @@ def check_signature(tbox: TBox, *others) -> None:
     """Reject arity conflicts between the TBox signature and ABox / policy /
     query predicates.  Names unseen in the TBox are accepted with the arity
     they are used at."""
-    arity: dict[str, int] = {c: 1 for c in tbox.concept_names}
-    arity.update({r: 2 for r in tbox.role_names})
+    arities = {c: 1 for c in tbox.concept_names}
+    arities.update({r: 2 for r in tbox.role_names})
     for value in others:
-        if isinstance(value, ABox):
-            atoms = list(value.atoms)
-        elif isinstance(value, Policy):
+        if isinstance(value, Policy):
             atoms = [a for d in value.denials for a in d.body]
-        elif isinstance(value, ConjunctiveQuery):
-            atoms = list(value.atoms)
+        elif isinstance(value, (ABox, ConjunctiveQuery)):
+            atoms = value.atoms
         else:
             raise TypeError(f"cannot check {type(value).__name__}")
         for a in atoms:
-            old = arity.setdefault(a.predicate, a.arity)
-            if old != a.arity:
-                raise ParseError(
-                    "signature", 1, 1,
-                    f"{a.predicate!r} used as both concept and role", a.predicate,
-                )
+            _check_arity(arities, a.predicate, a.arity, "signature", 1, 1)

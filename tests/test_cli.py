@@ -144,6 +144,29 @@ def test_censor_order_file(files, capsys, tmp_path):
     assert capsys.readouterr().out == "ProjB(c)\nSupplier(c)\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Supplier(c)\nProjB(c)\n# a comment\nProjA(c\n", "order:4:8: expected ')'"),
+        ("Supplier(c)\nProjB(c)\nProjB(c,c)\n", "order:3:1: 'ProjB' used as both concept and role near 'ProjB'"),
+    ],
+)
+def test_censor_order_file_errors_name_the_order_file(files, capsys, tmp_path, text, message):
+    order = tmp_path / "order.txt"
+    order.write_text(text)
+    code = main(
+        [
+            "censor",
+            "--tbox", files["tbox"],
+            "--abox", files["abox"],
+            "--policy", files["policy"],
+            "--order-file", str(order),
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_censor_enumerate(files, capsys):
     code, payload = run_json(
         capsys,
