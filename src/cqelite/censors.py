@@ -319,17 +319,25 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
     closure is consistent, so a subset can only violate the policy, and then
     some rewritten body maps into it.  The secrets are therefore exactly the
     images with no other image as a proper subset, which a lookup of each
-    image's proper subsets decides."""
+    image's proper subsets decides.  Only the subsets of a size that some
+    image has are looked up, so an image of the least size, which can hold
+    no other, needs no lookup at all."""
     closure = abox_closure(tbox, abox)
     rel = _abox_relations(closure)
     images: set[frozenset[Atom]] = set()
     for d in policy.denials:
         for rewritten in perfect_ref(denial_query(d), tbox):
             images.update(_images(rewritten, rel))
+    sizes = sorted(set(map(len, images)))
     return frozenset(
         s
         for s in images
-        if not any(frozenset(c) in images for r in range(len(s)) for c in combinations(s, r))
+        if len(s) == sizes[0]
+        or not any(
+            frozenset(c) in images
+            for r in sizes[: sizes.index(len(s))]
+            for c in combinations(s, r)
+        )
     )
 
 
@@ -337,10 +345,16 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
 def iar_repair(tbox: TBox, policy: Policy, abox: ABox) -> ABox:
     """The closure minus every atom that occurs in some secret; equals the
     intersection of all maximal policy-consistent subsets.  With no secret
-    this is the closure itself, which then shares its derived state."""
+    this is the closure itself, which then shares its derived state.  The
+    repair's row sets are the closure's without the hidden rows, handed to
+    its `_abox_relations` instead of being grouped again."""
     closure = abox_closure(tbox, abox)
     hidden = frozenset().union(*secrets(tbox, policy, abox))
-    return ABox(closure.atoms - hidden) if hidden else closure
+    if not hidden:
+        return closure
+    repair = ABox(closure.atoms - hidden)
+    _abox_relations.put(repair, _abox_relations(closure).minus(hidden))
+    return repair
 
 
 def qib_entail(tbox: TBox, policy: Policy, abox: ABox, q: ConjunctiveQuery) -> bool:

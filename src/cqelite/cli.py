@@ -63,9 +63,16 @@ _EXIT_CODES = {
 
 def _read(path: str, kind: str, parse) -> object:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(kind, 1, 1, f"cannot read {path}: {exc.strerror or exc}")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; the placeholder keeps the bad
+        # byte's line when those bytes end with a line break
+        lines = (raw[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(kind, len(lines), len(lines[-1]), "not valid UTF-8") from None
     return parse(text)
 
 

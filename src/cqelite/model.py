@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Union
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -77,6 +78,11 @@ def var(name: str) -> Term:
     return Term(VAR, name)
 
 
+def check_predicate(name: str) -> None:
+    if not is_valid_ident(name):
+        raise ValueError(f"bad predicate name: {name!r}")
+
+
 class Atom(namedtuple("Atom", "predicate args")):
     """A concept atom A(t) or a role atom P(t1,t2); `args` is a tuple of
     `Term`s."""
@@ -85,8 +91,7 @@ class Atom(namedtuple("Atom", "predicate args")):
     _make = classmethod(_validated_make)
 
     def __new__(cls, predicate: str, args: tuple):
-        if not is_valid_ident(predicate):
-            raise ValueError(f"bad predicate name: {predicate!r}")
+        check_predicate(predicate)
         if len(args) not in (1, 2):
             raise ValueError(f"atom arity must be 1 or 2, got {len(args)}")
         return tuple.__new__(cls, (predicate, args))
@@ -100,6 +105,12 @@ class Atom(namedtuple("Atom", "predicate args")):
 
     def __repr__(self):
         return f"{self.predicate}({','.join(t.name for t in self.args)})"
+
+
+# builds an `Atom` from one (predicate, args) pair without validating it, so
+# that `map` can build many in C; only for a predicate that `check_predicate`
+# has passed and for args taken from valid atoms
+unchecked_atom = partial(tuple.__new__, Atom)
 
 
 def atom_order_key(atom: Atom) -> tuple:

@@ -20,21 +20,29 @@ and `chase_satisfies`, and yields the images behind `censors.secrets` and
 `rewriting`.  `eval_fo` reads atoms with `_atom_rows` and joins the
 positive conjuncts of a conjunction with `_components`, in the same order.
 
+One rule table on the TBox closure, `InclusionClosure.fact_rules`, derives
+the entailed atoms for both `abox_closure` and `chase_bounded`: for each
+(predicate, arity) the facts it entails, as a name and a pick of columns.
+The closure applies each rule to all the rows of its predicate at once.
+
 What is derived from an ABox (its closure, consistency, policy consistency
 and stored row sets, and the secrets and repair in `censors`) is memoized
 on the ABox value itself by `memo_on_abox`, so it is computed once per
-value and dies with it.
+value and dies with it.  The closure and the repair inherit their row sets
+(`memo_on_abox`'s `put`): the ABox's grouped rows plus the derived ones,
+and the closure's minus the hidden ones, so neither groups its atoms again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
-from itertools import chain, product
-from operator import itemgetter
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import chain, product, repeat
+from operator import add, itemgetter
+from typing import AbstractSet, Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
 from .model import (
+    ATOMIC,
     ABox,
     Atom,
     BasicConcept,
@@ -46,6 +54,8 @@ from .model import (
     TBox,
     Term,
     atomic,
+    check_predicate,
+    unchecked_atom,
     var,
 )
 
@@ -67,25 +77,31 @@ def memo_on_abox(fn):
     dataclass's eq, hash and repr alone.  It lives exactly as long as that
     value, and equal but distinct values do not share it.  A result that is
     the ABox itself is stored as a marker, so the memo makes no reference
-    cycle.  `cache_info()` counts hits and misses, as `lru_cache` does."""
+    cycle.  `cache_info()` counts hits and misses, as `lru_cache` does, and
+    `put(*keys, abox, value)` stores a result that was found another way,
+    counting neither."""
     counts = [0, 0]
+
+    def put(*args):
+        *keys, abox, result = args
+        store = abox.__dict__.setdefault("_derived", {})
+        store[(fn, *keys)] = _SELF if result is abox else result
 
     @wraps(fn)
     def memo(*args):
         abox = args[-1]
-        store = abox.__dict__.setdefault("_derived", {})
-        key = (fn, *args[:-1])
         try:
-            result = store[key]
+            result = abox.__dict__["_derived"][(fn, *args[:-1])]
         except KeyError:
             counts[1] += 1
             result = fn(*args)
-            store[key] = _SELF if result is abox else result
+            put(*args, result)
             return result
         counts[0] += 1
         return abox if result is _SELF else result
 
     memo.cache_info = lambda: CacheInfo(*counts)
+    memo.put = put
     return memo
 
 
@@ -96,8 +112,9 @@ class InclusionClosure:
     `concept_subs` contains (X, Y) iff every instance of X must be an
     instance of Y; disjointness pairs are unordered (frozensets of size 1
     encode an unsatisfiable expression).  The four maps index the
-    subsumptions by either side, each list sorted; they are built on first
-    use and live as long as the closure."""
+    subsumptions by either side, each list sorted, and `fact_rules` reads
+    them as rules on ground facts; all are built on first use and live as
+    long as the closure."""
 
     concept_subs: frozenset[tuple[BasicConcept, BasicConcept]]
     role_subs: frozenset[tuple[RoleExpr, RoleExpr]]
@@ -119,6 +136,41 @@ class InclusionClosure:
     @cached_property
     def role_subsumees(self) -> dict[RoleExpr, list[RoleExpr]]:
         return _sorted_map((y, x) for (x, y) in self.role_subs)
+
+    @cached_property
+    def fact_rules(self) -> dict[tuple[str, int], list[tuple[str, int, itemgetter]]]:
+        """The named facts that one fact entails, as rules keyed by the
+        fact's (predicate, arity).  A rule `(name, arity, pick)` derives
+        `name(pick(args))` from each fact's `args`: a role fact entails its
+        role subsumers (`_SAME` or `_SWAPPED` columns) and the atomic
+        subsumers of its domain (`_FIRST`) and of its range (`_SECOND`); a
+        concept fact entails its atomic subsumers (`_SAME`).  The reflexive
+        rule is left out.  The subsumption maps are transitive, so no fact a
+        rule derives entails one that the rules do not derive directly.  The
+        names are not validated here, since a TBox may name what no ABox
+        holds."""
+        rules: dict[tuple[str, int], list[tuple[str, int, itemgetter]]] = {}
+
+        def atomic_sups(b: BasicConcept, pick: itemgetter) -> list:
+            sups = self.concept_subsumers[b]
+            return [(s.name, 1, pick) for s in sups if s.kind == ATOMIC and s != b]
+
+        for r, sups in self.role_subsumers.items():
+            if not r.inverse:
+                roles = [(s.name, 2, _SWAPPED if s.inverse else _SAME) for s in sups if s != r]
+                domains = atomic_sups(r.domain(), _FIRST) + atomic_sups(r.range(), _SECOND)
+                rules[(r.name, 2)] = roles + domains
+        for b in self.concept_subsumers:
+            if b.kind == ATOMIC:
+                rules[(b.name, 1)] = atomic_sups(b, _SAME)
+        return {key: found for key, found in rules.items() if found}
+
+
+# the column picks of a fact rule, from the args of the fact it reads
+_SAME = itemgetter(slice(None))
+_SWAPPED = itemgetter(slice(None, None, -1))
+_FIRST = itemgetter(slice(0, 1))
+_SECOND = itemgetter(slice(1, 2))
 
 
 def _sorted_map(pairs: Iterable[tuple]) -> dict:
@@ -230,19 +282,6 @@ def _realized(pred: str, args: tuple) -> list[tuple[BasicConcept, Term]]:
     ]
 
 
-def _entailed_facts(maps: InclusionClosure, pred: str, args: tuple) -> Iterator[tuple[str, tuple]]:
-    """The named facts entailed by the fact `pred(args)` alone: its role
-    subsumers and its atomic concept subsumers.  The subsumption maps are
-    transitive, so no fact derived here entails one that is not."""
-    if len(args) == 2:
-        for sup in maps.role_subsumers.get(RoleExpr(pred), ()):
-            yield (sup.name, (args[1], args[0]) if sup.inverse else args)
-    for (b, u) in _realized(pred, args):
-        for sup in maps.concept_subsumers.get(b, ()):
-            if sup.kind == "atomic":
-                yield (sup.name, (u,))
-
-
 # --- conjunctive query evaluation -------------------------------------------
 
 
@@ -253,21 +292,37 @@ _Rows = tuple[tuple[Term, ...], AbstractSet[tuple]]
 class _Relations:
     """Stored argument tuples (over any term type), one set per predicate
     and arity, read from (predicate, args) pairs: `Atom`s as they are, or
-    the chase's plain pairs.  Each set is built on first use, so a store
-    read for a few predicates only hashes their rows."""
+    the chase's plain pairs.  `groups` maps each (predicate, arity) to its
+    rows, a collection that may repeat a row until `row_set` makes the set
+    of it on first use, so a store read for a few predicates only hashes
+    their rows.  The groups are never changed in place, so a derived store
+    (`of_groups`, `minus`) shares the ones it does not change."""
 
-    def __init__(self, facts: Iterable[tuple[str, tuple]]):
-        self._rows: dict[tuple[str, int], list[tuple]] = {}
-        self._row_sets: dict[tuple[str, int], frozenset[tuple]] = {}
+    def __init__(self, facts: Iterable[tuple[str, tuple]] = ()):
+        self.groups: dict[tuple[str, int], Collection[tuple]] = {}
         for pred, args in facts:
-            self._rows.setdefault((pred, len(args)), []).append(args)
+            self.groups.setdefault((pred, len(args)), []).append(args)
+
+    @classmethod
+    def of_groups(cls, groups: dict[tuple[str, int], Collection[tuple]]) -> _Relations:
+        rel = cls()
+        rel.groups = groups
+        return rel
 
     def row_set(self, pred: str, arity: int) -> frozenset[tuple]:
         key = (pred, arity)
-        rows = self._row_sets.get(key)
-        if rows is None:
-            rows = self._row_sets[key] = frozenset(self._rows.get(key, ()))
+        rows = self.groups.get(key, ())
+        if type(rows) is not frozenset:
+            rows = self.groups[key] = frozenset(rows)
         return rows
+
+    def minus(self, facts: Iterable[tuple[str, tuple]]) -> _Relations:
+        """The rows of this store without `facts`, which it holds: one set
+        difference for each predicate of `facts`."""
+        groups = dict(self.groups)
+        for (pred, arity), rows in _Relations(facts).groups.items():
+            groups[(pred, arity)] = self.row_set(pred, arity).difference(rows)
+        return _Relations.of_groups(groups)
 
 
 def _atom_rows(atom: Atom, rel: _Relations) -> _Rows:
@@ -371,26 +426,52 @@ def _components(parts: Iterable[_Rows]) -> Optional[list[_Rows]]:
     return components
 
 
-def _homomorphisms(atoms: Iterable[Atom], rel: _Relations) -> Iterator[dict]:
-    """Every map of the variables of `atoms` that sends each atom to a row
-    of `rel`, constants fixed.  The atoms' row sets are joined per
-    variable-connected component (`_components`), and the components are
-    never joined: a binding takes one row of each, so a query whose
-    components all match yields its first binding without building their
-    product."""
+def _bound_rows(atoms: Iterable[Atom], rel: _Relations) -> tuple[list[Term], Iterable[tuple]]:
+    """The variables of `atoms`, and one row of their values for every map
+    of them that sends each atom to a row of `rel`, constants fixed.  The
+    atoms' row sets are joined per variable-connected component
+    (`_components`), and the components are never joined: a row takes one
+    row of each, so a query whose components all match has its first row
+    without building their product."""
     components = _components(_atom_rows(a, rel) for a in atoms)
     if components is None:
-        return
+        return [], ()
     names = [x for v, _ in components for x in v]
-    for rows in product(*(rows for _, rows in components)):
-        yield dict(zip(names, chain.from_iterable(rows)))
+    if len(components) == 1:
+        return names, components[0][1]
+    return names, map(tuple, map(chain.from_iterable, product(*(rows for _, rows in components))))
+
+
+def _homomorphisms(atoms: Iterable[Atom], rel: _Relations) -> Iterator[dict]:
+    """Every map of the variables of `atoms` that sends each atom to a row
+    of `rel`, constants fixed (`_bound_rows`)."""
+    names, rows = _bound_rows(atoms, rel)
+    return (dict(zip(names, row)) for row in rows)
 
 
 def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
-    """The image of `body` under each of its homomorphisms into `rel`."""
+    """The image of `body` under each of its homomorphisms into `rel`.  The
+    body's constants are appended to each bound row, each body atom's
+    columns in that row are found once, and the image atoms are built from
+    the rows in C, unchecked: their predicates are the body's and their
+    args come from `rel`'s rows and the body."""
     atoms = list(body.atoms)
-    for binding in _homomorphisms(atoms, rel):
-        yield frozenset(Atom(a.predicate, tuple(binding.get(t, t) for t in a.args)) for a in atoms)
+    names, rows = _bound_rows(atoms, rel)
+    consts = tuple(dict.fromkeys(t for a in atoms for t in a.args if t.is_const))
+    if consts:
+        rows = map(add, rows, repeat(consts))
+    rows = list(rows)
+    if not rows:
+        return iter(())
+    column = {x: i for i, x in enumerate(names + list(consts))}
+
+    def pick(a: Atom) -> itemgetter:
+        cols = [column[t] for t in a.args]
+        # one index would give the value itself, a slice gives the 1-tuple
+        return itemgetter(*cols) if len(cols) == 2 else itemgetter(slice(cols[0], cols[0] + 1))
+
+    image_atoms = [map(unchecked_atom, zip(repeat(a.predicate), map(pick(a), rows))) for a in atoms]
+    return map(frozenset, zip(*image_atoms))
 
 
 @memo_on_abox
@@ -629,14 +710,33 @@ def abox_closure(tbox: TBox, abox: ABox) -> ABox:
     """All ground atoms over the data constants entailed by TBox + ABox.
     Existential axioms only introduce anonymous individuals, so no new
     constants can appear.  When nothing is added this is `abox` itself,
-    which then shares its derived state with its closure."""
+    which then shares its derived state with its closure.
+
+    The atoms are derived a predicate at a time: each fact rule of the TBox
+    closure (`InclusionClosure.fact_rules`) maps all the rows of its
+    predicate at once, and validates its predicate name once.  The
+    closure's rows, grouped by predicate, are the ABox's groups plus the
+    derived rows, so they are handed to the closure's `_abox_relations`
+    instead of being grouped again."""
     _require_consistent(tbox, abox)
-    maps = saturate_tbox(tbox)
+    rules = saturate_tbox(tbox).fact_rules
+    groups = _abox_relations(abox).groups
+    derived: dict[tuple[str, int], list[tuple]] = {}
+    for key, rows in groups.items():
+        for name, arity, pick in rules.get(key, ()):
+            check_predicate(name)
+            derived.setdefault((name, arity), []).extend(map(pick, rows))
     out = set(abox.atoms)
-    for atom in abox.atoms:
-        for pred, args in _entailed_facts(maps, atom.predicate, atom.args):
-            out.add(Atom(pred, args))
-    return abox if len(out) == len(abox.atoms) else ABox(frozenset(out))
+    for (name, _), rows in derived.items():
+        out.update(map(unchecked_atom, zip(repeat(name), rows)))
+    if len(out) == len(abox.atoms):
+        return abox
+    closure = ABox(frozenset(out))
+    closure_groups = dict(groups)
+    for key, rows in derived.items():
+        closure_groups[key] = [*groups.get(key, ()), *rows]
+    _abox_relations.put(closure, _Relations.of_groups(closure_groups))
+    return closure
 
 
 # --- bounded chase oracle ------------------------------------------------------
@@ -684,6 +784,7 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
     stopping at the given null depth.  Existential steps are skipped when a
     witness already exists (restricted chase)."""
     maps = saturate_tbox(tbox)
+    rules = maps.fact_rules
     atoms: set[tuple[str, tuple]] = {(a.predicate, a.args) for a in abox_closure(tbox, abox)}
     depths: dict[ChaseTerm, int] = {}
     for a in abox.atoms:
@@ -717,7 +818,7 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
             depths[null] = depths[u] + 1
             args = (u, null) if pos == 0 else (null, u)
             atoms.add((role, args))
-            atoms.update(_entailed_facts(maps, role, args))
+            atoms.update((name, pick(args)) for name, _, pick in rules.get((role, 2), ()))
             progress = True
         if len(atoms) > _CHASE_ATOM_CAP:
             raise RuntimeError("chase structure exceeds safety cap")

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -28,6 +28,7 @@ from cqelite import (
     secrets,
 )
 from cqelite.censors import _counter_censor, _keeps_policy
+from cqelite.reasoner import _Relations, _images, denial_query, perfect_ref
 from cqelite.model import Policy
 from cqelite.gen import random_bcq, random_instance
 
@@ -337,6 +338,51 @@ def test_secrets_non_minimal_images_are_dropped():
     p = parse_policy("denial :- A(X)\ndenial :- A(X), R(X,Y), B(Y)")
     a = parse_abox("A(a)\nR(a,b)\nB(b)")
     assert secrets(t, p, a) == frozenset({atoms("A(a)")})
+
+
+def minimal_images(images: set) -> frozenset:
+    """The images with no other image as a proper subset, found by looking
+    up every proper subset of each one, of every size."""
+    return frozenset(
+        s
+        for s in images
+        if not any(frozenset(c) in images for r in range(len(s)) for c in combinations(s, r))
+    )
+
+
+def denial_images(t, p, a) -> set:
+    closure = abox_closure(t, a)
+    rel = _Relations(closure.atoms)
+    return {
+        image
+        for d in p.denials
+        for rewritten in perfect_ref(denial_query(d), t)
+        for image in _images(rewritten, rel)
+    }
+
+
+def test_secrets_of_mixed_sizes_keep_only_the_minimal_images():
+    t = parse_tbox("B [= A")
+    p = parse_policy("denial :- A(X), B(X)\ndenial :- A(X)\ndenial :- R(X,Y), C(Y)")
+    a = parse_abox("A(c)\nB(d)\nR(e,f)\nC(f)\nR(g,g)\nC(g)")
+    images = denial_images(t, p, a)
+    assert {len(s) for s in images} == {1, 2}
+    # {A(d), B(d)} holds the smaller images {A(d)} and {B(d)}
+    assert atoms("A(d)\nB(d)") in images
+    want = frozenset(map(atoms, ["A(c)", "A(d)", "B(d)", "R(e,f)\nC(f)", "R(g,g)\nC(g)"]))
+    assert secrets(t, p, a) == minimal_images(images) == want
+
+
+def test_secrets_match_the_every_size_lookup_on_randoms():
+    mixed = 0
+    for seed in range(150):
+        t, p, a = random_instance(seed, n_atoms=8, n_consts=3)
+        if not is_consistent(t, a):
+            continue
+        images = denial_images(t, p, a)
+        assert secrets(t, p, a) == minimal_images(images), seed
+        mixed += len({len(s) for s in images}) > 1 and minimal_images(images) != images
+    assert mixed >= 10
 
 
 def test_secret_correctness_brute_force():

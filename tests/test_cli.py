@@ -70,6 +70,23 @@ def test_consistency_parse_error_exit_2(files, capsys, tmp_path):
     assert "tbox:1:" in err
 
 
+@pytest.mark.parametrize(
+    "raw, where",
+    [
+        (b"\xff", "abox:1:1"),
+        (b"ProjA(c)\n\xff", "abox:2:1"),
+        # columns count characters, as the parser's do, and a CRLF is one break
+        (b"ProjA(c)\r\nProjB(\xc3\xa9\xfe)\n", "abox:2:8"),
+    ],
+)
+def test_non_utf8_file_is_a_positioned_parse_error(files, capsys, tmp_path, raw, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(raw)
+    code = main(["closure", "--tbox", files["tbox"], "--abox", str(bad)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {where}: not valid UTF-8\n"
+
+
 def test_closure_text_output(files, capsys):
     code = main(
         ["closure", "--tbox", files["tbox"], "--abox", files["abox"], "--format", "text"]

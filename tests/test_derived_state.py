@@ -28,6 +28,7 @@ from cqelite import (
     secrets,
 )
 from cqelite.gen import random_bcq, random_instance
+from cqelite.reasoner import _Relations, _abox_relations
 
 from conftest import q
 
@@ -69,6 +70,30 @@ def test_equal_values_do_not_share_and_compare_as_before():
     for other in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
         assert other == a and "_derived" not in vars(other)
         assert abox_closure(t, other) == closure
+
+
+def test_closure_and_repair_inherit_their_row_sets():
+    t = parse_tbox(SUPPLIER_TBOX + "\nrole R [= S-\nex S [= Supplier")
+    p = parse_policy(SUPPLIER_POLICY)
+    a = parse_abox("ProjA(c)\nProjB(c)\nProjA(d)\nR(c,d)\nS(e,c)\nSupplier(e)")
+    before = abox_closure.cache_info()
+    closure = abox_closure(t, a)
+    middle = abox_closure.cache_info()
+    assert (middle.hits - before.hits, middle.misses - before.misses) == (0, 1)
+    assert abox_closure(t, a) is closure
+    after = abox_closure.cache_info()
+    assert (after.hits - middle.hits, after.misses - middle.misses) == (1, 0)
+    repair = iar_repair(t, p, a)
+    assert closure != a and repair != closure
+    for x in (closure, repair):
+        before = _abox_relations.cache_info()
+        rel = _abox_relations(x)
+        after = _abox_relations.cache_info()
+        # handed over, not grouped again
+        assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+        keys = {(atom.predicate, atom.arity) for atom in x} | {("Absent", 1), ("R", 1)}
+        for key in sorted(keys):
+            assert rel.row_set(*key) == _Relations(x.atoms).row_set(*key), key
 
 
 def test_derived_state_dies_with_the_abox():

@@ -43,7 +43,7 @@ from cqelite.reasoner import (
     concept_atom,
     role_atom,
 )
-from cqelite.gen import random_bcq, random_instance
+from cqelite.gen import random_bcq, random_instance, random_tbox
 
 from conftest import q
 
@@ -649,6 +649,130 @@ def test_closure_role_subsumption_and_inverse():
     closed = abox_closure(t, a)
     assert Atom("S", (const("b"), const("a"))) in closed
     assert Atom("C", (const("b"),)) in closed
+
+
+def closure_by_atoms(tbox: TBox, abox: ABox) -> frozenset[Atom]:
+    """The reference for `abox_closure` on a consistent input: the named
+    facts that each atom entails alone, atom by atom, each built as a
+    checked `Atom`.  A role fact entails its role subsumers and the atomic
+    subsumers of its domain and range; a concept fact entails its atomic
+    subsumers."""
+    maps = saturate_tbox(tbox)
+    out = set(abox.atoms)
+    for atom in abox.atoms:
+        pred, args = atom
+        if len(args) == 2:
+            for sup in maps.role_subsumers.get(RoleExpr(pred), ()):
+                out.add(Atom(sup.name, args[::-1] if sup.inverse else args))
+            realized = [(exists(pred), args[0]), (exists_inv(pred), args[1])]
+        else:
+            realized = [(atomic(pred), args[0])]
+        for b, u in realized:
+            for sup in maps.concept_subsumers.get(b, ()):
+                if sup.kind == "atomic":
+                    out.add(Atom(sup.name, (u,)))
+    return frozenset(out)
+
+
+def _signed(text: str) -> TBox:
+    """A hand-written TBox over the concepts A, B, C and the roles P, Q."""
+    return TBox.of(parse_tbox(text).axioms, "ABC", "PQ")
+
+
+# the cases the fact rules must get right beside the drawn TBoxes: a
+# symmetric role, an inverse role subsumer, the atomic subsumers of a range
+# and of a domain, and unsatisfiable expressions that the data does or does
+# not realize
+HAND_TBOXES = [
+    _signed("role P [= P-"),
+    _signed("role P [= Q-\nex Q [= A"),
+    _signed("ex P- [= A\nex Q [= B\nrole Q [= P"),
+    _signed("C [= -C\nA [= C\nex P [= B"),
+    _signed("role Q [= -Q\nrole P [= Q-\nA [= B"),
+]
+
+
+@st.composite
+def closure_cases(draw):
+    """A drawn `random_tbox` or a hand-written TBox, and an ABox of up to
+    six atoms over its names and three constants."""
+    t = draw(
+        st.one_of(
+            st.integers(0, 2**20).map(lambda seed: random_tbox(random.Random(seed))),
+            st.sampled_from(HAND_TBOXES),
+        )
+    )
+    terms = st.sampled_from([const(c) for c in "abc"])
+    atoms = st.builds(lambda c, x: Atom(c, (x,)), st.sampled_from(sorted(t.concept_names)), terms)
+    if t.role_names:
+        roles = st.builds(
+            lambda r, x, y: Atom(r, (x, y)), st.sampled_from(sorted(t.role_names)), terms, terms
+        )
+        atoms = st.one_of(atoms, roles)
+    return t, ABox.of(draw(st.lists(atoms, max_size=6)))
+
+
+@settings(max_examples=400)
+@given(closure_cases())
+def test_abox_closure_and_chase_match_the_per_atom_reference(case):
+    t, a = case
+    if not is_consistent(t, a):
+        with pytest.raises(InconsistentOntologyError):
+            abox_closure(t, a)
+        return
+    closure = abox_closure(t, a)
+    assert closure.atoms == closure_by_atoms(t, a)
+    assert chase_bounded(t, a, 3).named_part() == closure
+
+
+def test_closure_cases_reach_every_hand_written_tbox():
+    """The draws above derive atoms under each hand-written TBox, and meet
+    the unsatisfiable expressions both realized and not."""
+    adds = lambda case: is_consistent(*case) and abox_closure(*case) != case[1]
+    for t in HAND_TBOXES:
+        find(closure_cases(), lambda case, t=t: case[0] == t and adds(case))
+    for t in HAND_TBOXES[3:]:
+        find(closure_cases(), lambda case, t=t: case[0] == t and not is_consistent(*case))
+
+
+@pytest.mark.parametrize(
+    "tbox, data, derived",
+    [
+        (HAND_TBOXES[0], "P(a,b)\nQ(b,c)", "P(b,a)"),
+        (HAND_TBOXES[1], "P(a,b)\nQ(b,c)", "Q(b,a)\nA(b)"),
+        (HAND_TBOXES[2], "P(a,b)\nQ(b,c)", "P(b,c)\nA(b)\nA(c)\nB(b)"),
+        # C and A are unsatisfiable, and neither is realized
+        (HAND_TBOXES[3], "P(a,b)\nQ(b,c)", "B(a)"),
+        # Q is unsatisfiable, and so is P, whose inverse Q subsumes
+        (HAND_TBOXES[4], "A(a)\nC(b)", "B(a)"),
+    ],
+)
+def test_closure_under_hand_written_tboxes(tbox, data, derived):
+    a = parse_abox(data)
+    assert abox_closure(tbox, a).atoms - a.atoms == parse_abox(derived).atoms
+
+
+@pytest.mark.parametrize("tbox, data", [(HAND_TBOXES[3], "A(a)"), (HAND_TBOXES[4], "P(a,b)")])
+def test_closure_refuses_a_realized_unsatisfiable_expression(tbox, data):
+    with pytest.raises(InconsistentOntologyError):
+        abox_closure(tbox, parse_abox(data))
+
+
+def test_closure_validates_a_programmatic_name_when_its_rule_applies():
+    for axiom, data, name in (
+        (ConceptInclusion(atomic("A"), atomic("bad name")), "A(c)", "bad name"),
+        (RoleInclusion(RoleExpr("P"), RoleExpr("1P", True)), "P(c,d)", "1P"),
+        (ConceptInclusion(exists_inv("P"), atomic("_B")), "P(c,d)", "_B"),
+    ):
+        t = TBox.of([axiom])
+        a = parse_abox(data)
+        with pytest.raises(ValueError, match=f"^bad predicate name: {name!r}$"):
+            closure_by_atoms(t, a)
+        with pytest.raises(ValueError, match=f"^bad predicate name: {name!r}$"):
+            abox_closure(t, a)
+        # a rule that no fact reads is not applied, so it raises nothing
+        other = parse_abox("C(c)\nQ(c,d)")
+        assert abox_closure(t, other) is other
 
 
 def test_closure_fixpoint_and_monotone():

@@ -1,0 +1,90 @@
+"""Cold per-layer times of what a fresh `supplier-churn` ABox derives.
+
+    python3 tools/derived_times.py
+
+Loads the benchmark's `supplier-churn` instance for seed 1
+(`bench/workloads.py`, `SupplierChurn`) from this checkout and applies 15 of
+its revisions.  Each revision makes a fresh ABox value, whose derived state
+starts cold; on each one the script times, once and in this order, the steps
+that the first `qib` request of a round pays for:
+
+- `_abox_relations`: the ABox's rows grouped by predicate;
+- `abox_closure`, with its consistency check;
+- the closure's row sets: `_abox_relations` of the closure and the row set
+  of each of its (predicate, arity) pairs;
+- `secrets`;
+- `iar_repair`;
+- the repair's row sets, as for the closure.
+
+It prints the median ms of each step over the 15 fresh ABoxes.  The script
+re-runs itself under PYTHONHASHSEED=0, as the benchmark does, since
+frozenset order breaks ties in the join order.  Standard library only, and
+it writes nothing into the checkout.
+"""
+
+from __future__ import annotations
+
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 1
+REVISIONS = 15
+
+
+def elapsed_ms(call) -> float:
+    start = time.perf_counter()
+    call()
+    return (time.perf_counter() - start) * 1000
+
+
+def row_sets(reasoner, derive):
+    """A step that reads every row set of the ABox that `derive` gives; the
+    ABox and its (predicate, arity) pairs are found before the timing."""
+
+    def step(abox):
+        derived = derive(abox)
+        keys = {(a.predicate, a.arity) for a in derived.atoms}
+        return lambda: [reasoner._abox_relations(derived).row_set(*key) for key in keys]
+
+    return step
+
+
+def main() -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.dont_write_bytecode = True  # leave no cache files in the checkout
+    import workloads
+    from cqelite import reasoner
+
+    cq = workloads.cq
+    w = workloads.SupplierChurn(SEED, fault=False)
+    w.adopt(w.load(w.texts(0)))
+    t, p = w.tbox, w.policy
+    closure = lambda a: cq.abox_closure(t, a)
+    repair = lambda a: cq.iar_repair(t, p, a)
+    # each step takes the fresh ABox and returns the call to time
+    steps = {
+        "_abox_relations": lambda a: lambda: reasoner._abox_relations(a),
+        "abox_closure": lambda a: lambda: closure(a),
+        "closure row sets": row_sets(reasoner, closure),
+        "secrets": lambda a: lambda: cq.secrets(t, p, a),
+        "iar_repair": lambda a: lambda: repair(a),
+        "repair row sets": row_sets(reasoner, repair),
+    }
+    times: dict[str, list[float]] = {name: [] for name in steps}
+    for _ in range(REVISIONS):
+        w._revision().run()
+        for name, step in steps.items():
+            times[name].append(elapsed_ms(step(w.abox)))
+    print(f"supplier-churn seed {SEED}: median ms over {REVISIONS} fresh ABoxes")
+    for name, ms in times.items():
+        print(f"{name:<20}{statistics.median(ms):>10.3f}")
+
+
+if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != "0":
+        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
+    main()
