@@ -27,7 +27,6 @@ from .model import ABox, ConjunctiveQuery, Policy, TBox
 from .parser import (
     ParseError,
     _ground_atoms,
-    check_signature,
     parse_abox,
     parse_policy,
     parse_query,
@@ -78,22 +77,18 @@ def _read(path: str, kind: str, parse) -> object:
 
 class _Inputs:
     def __init__(self, args):
-        self.tbox: TBox = (
-            _read(args.tbox, "tbox", parse_tbox) if args.tbox else TBox.of()
-        )
-        self.abox: ABox = (
-            _read(args.abox, "abox", parse_abox) if getattr(args, "abox", None) else ABox.of()
-        )
-        self.policy: Policy = (
-            _read(args.policy, "policy", parse_policy)
-            if getattr(args, "policy", None)
-            else Policy.of()
-        )
-        self.query: ConjunctiveQuery | None = (
-            _read(args.query, "query", parse_query) if getattr(args, "query", None) else None
-        )
-        others = [self.abox, self.policy] + ([self.query] if self.query else [])
-        check_signature(self.tbox, *others)
+        # one arity per name across the files, so a name used at another
+        # arity in an earlier file is reported where the later file uses it
+        arities: dict[str, int] = {}
+
+        def read(kind: str, parse, absent):
+            path = getattr(args, kind, None)
+            return _read(path, kind, lambda text: parse(text, arities)) if path else absent
+
+        self.tbox: TBox = read("tbox", parse_tbox, TBox.of())
+        self.abox: ABox = read("abox", parse_abox, ABox.of())
+        self.policy: Policy = read("policy", parse_policy, Policy.of())
+        self.query: ConjunctiveQuery | None = read("query", parse_query, None)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -18,13 +18,18 @@ Bad input raises `ParseError`, whose text is
     <kind>:<line>:<column>: <message> near '<token>'
 
 and which the CLI prints after "error: ".  The kind names the input: tbox,
-abox, policy, query or order for a file, signature for a name whose arity
-differs between files (`check_signature`), args for a bad option value.
+abox, policy, query or order for a file, args for a bad option value.
 Lines and columns are 1-based and count the raw text: comment and blank
 lines count as lines, and leading whitespace as columns.  The " near" part
 is left out when there is no token, as at the end of a line.
 A line is tokenized whole before it is parsed, so an unexpected character
 is reported before any grammar error on its line.
+
+A name is a concept or a role, never both.  Each parse function takes an
+optional `arities` dict, the arity of each name read so far, and adds its
+own names to it; the CLI threads one dict through the files it reads, so a
+name used at another arity in an earlier file is reported where the later
+file uses it.
 """
 
 from __future__ import annotations
@@ -197,10 +202,10 @@ def _inclusion(cur: _Cursor, side, arities: dict[str, int]) -> tuple:
     return lhs, rhs, negated
 
 
-def parse_tbox(text: str) -> TBox:
+def parse_tbox(text: str, arities: dict[str, int] | None = None) -> TBox:
     """Parse inclusion and disjointness axioms; the signature is inferred."""
     axioms = []
-    arities: dict[str, int] = {}
+    arities = {} if arities is None else arities
     for cur in _lines("tbox", text):
         if cur.keyword("role"):
             axioms.append(RoleInclusion(*_inclusion(cur, _roleexpr, arities)))
@@ -209,10 +214,10 @@ def parse_tbox(text: str) -> TBox:
     return TBox.of(axioms)
 
 
-def _ground_atoms(kind: str, text: str) -> list[Atom]:
+def _ground_atoms(kind: str, text: str, arities: dict[str, int] | None = None) -> list[Atom]:
     """The atoms of `text`, one per line, in file order."""
     atoms = []
-    arities: dict[str, int] = {}
+    arities = {} if arities is None else arities
     for cur in _lines(kind, text):
         col = cur.col
         atom = _atom(cur, ground=True)
@@ -222,9 +227,9 @@ def _ground_atoms(kind: str, text: str) -> list[Atom]:
     return atoms
 
 
-def parse_abox(text: str) -> ABox:
+def parse_abox(text: str, arities: dict[str, int] | None = None) -> ABox:
     """Parse ground atoms, one per line; duplicates collapse."""
-    return ABox(frozenset(_ground_atoms("abox", text)))
+    return ABox(frozenset(_ground_atoms("abox", text, arities)))
 
 
 def _rule_body(cur: _Cursor, head: str, arities: dict[str, int]) -> frozenset[Atom]:
@@ -243,17 +248,17 @@ def _rule_body(cur: _Cursor, head: str, arities: dict[str, int]) -> frozenset[At
     return frozenset(body)
 
 
-def parse_policy(text: str) -> Policy:
+def parse_policy(text: str, arities: dict[str, int] | None = None) -> Policy:
     """Parse denial assertions of the form `denial :- atom, ..., atom`."""
-    arities: dict[str, int] = {}
+    arities = {} if arities is None else arities
     return Policy(
         frozenset(Denial(_rule_body(cur, "denial", arities)) for cur in _lines("policy", text))
     )
 
 
-def parse_query(text: str) -> ConjunctiveQuery:
+def parse_query(text: str, arities: dict[str, int] | None = None) -> ConjunctiveQuery:
     """Parse a single Boolean conjunctive query `q :- atom, ..., atom`."""
-    arities: dict[str, int] = {}
+    arities = {} if arities is None else arities
     queries = [ConjunctiveQuery(_rule_body(cur, "q", arities)) for cur in _lines("query", text)]
     if not queries:
         raise ParseError("query", 1, 1, "expected a query line")
@@ -331,20 +336,3 @@ def serialize(value) -> str:
     if isinstance(value, (AtomNode, And, Or, Exists, Not, Eq, Truth)):
         return serialize_fo(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def check_signature(tbox: TBox, *others) -> None:
-    """Reject arity conflicts between the TBox signature and ABox / policy /
-    query predicates.  Names unseen in the TBox are accepted with the arity
-    they are used at."""
-    arities = {c: 1 for c in tbox.concept_names}
-    arities.update({r: 2 for r in tbox.role_names})
-    for value in others:
-        if isinstance(value, Policy):
-            atoms = [a for d in value.denials for a in d.body]
-        elif isinstance(value, (ABox, ConjunctiveQuery)):
-            atoms = value.atoms
-        else:
-            raise TypeError(f"cannot check {type(value).__name__}")
-        for a in atoms:
-            _check_arity(arities, a.predicate, a.arity, "signature", 1, 1)

@@ -7,8 +7,9 @@ subsumptions by either side for the closure, the chase and the rewriting;
 `perfect_ref` rewrites a conjunctive query into a union of queries whose
 plain evaluation over the raw data coincides with certain-answer
 entailment; `abox_closure` materializes every entailed ground atom over the
-data constants; `is_consistent` checks that no entailed disjointness is
-witnessed.  `chase_bounded` builds a truncated canonical model and serves
+data constants; `is_consistent` reads the disjointness pairs of the TBox
+closure off the data's asserted expressions, with no rewriting.
+`chase_bounded` builds a truncated canonical model and serves
 as an independent entailment oracle for validating the rewriting.
 
 One matcher answers every conjunctive query match, by set joins over whole
@@ -310,8 +311,10 @@ class _Relations:
         return rel
 
     def row_set(self, pred: str, arity: int) -> frozenset[tuple]:
+        # a key the store does not hold reads as empty and is not added,
+        # since `abox_closure` applies the rules of every group
         key = (pred, arity)
-        rows = self.groups.get(key, ())
+        rows = self.groups.get(key, frozenset())
         if type(rows) is not frozenset:
             rows = self.groups[key] = frozenset(rows)
         return rows
@@ -645,40 +648,40 @@ def _entailed_unchecked(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:
 # --- consistency --------------------------------------------------------------
 
 
-def _violation_query_concepts(pair: frozenset[BasicConcept]) -> ConjunctiveQuery:
-    """One atom per side; a single atom for an unsatisfiable concept."""
-    x = var("X1")
-    atoms = (concept_atom(b, x, var(f"Y{i}")) for i, b in enumerate(sorted(pair), 1))
-    return ConjunctiveQuery(frozenset(atoms))
-
-
-def _violation_query_roles(pair: frozenset[RoleExpr]) -> ConjunctiveQuery:
-    x, y = var("X1"), var("X2")
-    return ConjunctiveQuery(frozenset(role_atom(r, x, y) for r in pair))
-
-
-def _violation_queries(closure: InclusionClosure) -> Iterator[ConjunctiveQuery]:
-    """One query per disjointness pair, but a single atom for each
-    unsatisfiable expression (a size-1 pair) and nothing for the vacuous
-    pairs it has with every other expression of its kind: a witness of
-    such a pair is a witness of its unsatisfiable side."""
-    for pairs, query in (
-        (closure.disjoint_concepts, _violation_query_concepts),
-        (closure.disjoint_roles, _violation_query_roles),
-    ):
-        unsat = {x for p in pairs if len(p) == 1 for x in p}
-        for pair in pairs:
-            if len(pair) == 1 or not pair & unsat:
-                yield query(pair)
+def _asserted(x: Union[BasicConcept, RoleExpr], rel: _Relations) -> AbstractSet[tuple]:
+    """What the data assert of a basic concept (its members, as 1-tuples) or
+    of a role expression (its pairs), with the column picks of the fact
+    rules."""
+    if isinstance(x, RoleExpr):
+        rows = rel.row_set(x.name, 2)
+        return set(map(_SWAPPED, rows)) if x.inverse else rows
+    if x.kind == ATOMIC:
+        return rel.row_set(x.name, 1)
+    return set(map(_FIRST if x.kind == "exists" else _SECOND, rel.row_set(x.name, 2)))
 
 
 @memo_on_abox
 def is_consistent(tbox: TBox, abox: ABox) -> bool:
-    """True iff the TBox and ABox admit a model: no entailed disjointness
-    pair is witnessed by the (rewritten) data."""
-    return not any(
-        _entailed_unchecked(tbox, abox, v) for v in _violation_queries(saturate_tbox(tbox))
-    )
+    """True iff the TBox and ABox admit a model: the two sides of no
+    disjointness pair of the TBox closure share a member in the data, and
+    the side of no size-1 pair (an unsatisfiable expression) has one.
+
+    Only what the data assert directly is read, with no rewriting.  That
+    suffices because the closure already holds every consequence: a
+    disjointness is inherited by every pair of subsumees, so two entailed
+    memberships that clash come from two asserted ones whose expressions
+    form a pair, and unsatisfiability passes down subsumption and between a
+    role and its domain and range, so an anonymous witness that clashes
+    makes the asserted expression that entails it unsatisfiable.  Only the
+    expressions in some pair are read."""
+    closure = saturate_tbox(tbox)
+    pairs = [*closure.disjoint_concepts, *closure.disjoint_roles]
+    if not pairs:
+        return True
+    rel = _abox_relations(abox)
+    members = {x: _asserted(x, rel) for pair in pairs for x in pair}
+    # a size-1 pair {x} is read as (x, x)
+    return all(members[min(p)].isdisjoint(members[max(p)]) for p in pairs)
 
 
 def _require_consistent(tbox: TBox, abox: ABox) -> None:

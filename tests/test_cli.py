@@ -87,6 +87,27 @@ def test_non_utf8_file_is_a_positioned_parse_error(files, capsys, tmp_path, raw,
     assert capsys.readouterr().err == f"error: {where}: not valid UTF-8\n"
 
 
+@pytest.mark.parametrize(
+    "texts, where",
+    [
+        ({"abox": "B(a)\nA(a,b)\n"}, "abox:2:1: 'A'"),
+        ({"policy": "denial :- B(X), A(X,Y)\n"}, "policy:1:17: 'A'"),
+        ({"policy": "denial :- R(X,Y)\n", "query": "q :- R(c)\n"}, "query:1:6: 'R'"),
+    ],
+)
+def test_cross_file_arity_clash_is_reported_in_the_later_file(capsys, tmp_path, texts, where):
+    """The files are read in the order tbox, abox, policy, query, with one
+    arity per name across them."""
+    texts = {"tbox": "A [= B\n", "abox": "", "policy": "", "query": "q :- B(c)\n", **texts}
+    argv = ["entail"]
+    for kind, text in texts.items():
+        (tmp_path / kind).write_text(text)
+        argv += [f"--{kind}", str(tmp_path / kind)]
+    assert main(argv) == 2
+    name = where.split()[-1]
+    assert capsys.readouterr().err == f"error: {where} used as both concept and role near {name}\n"
+
+
 def test_closure_text_output(files, capsys):
     code = main(
         ["closure", "--tbox", files["tbox"], "--abox", files["abox"], "--format", "text"]

@@ -31,7 +31,6 @@ from cqelite import (
 )
 from cqelite.gen import random_instance
 from cqelite.model import AtomNode, Denial, Exists, Or, is_reserved_ident
-from cqelite.parser import check_signature
 
 
 def test_parse_tbox_running_example():
@@ -158,11 +157,12 @@ def test_comments_and_blank_lines_ignored():
     assert len(t.axioms) == 1
 
 
-def test_check_signature_detects_cross_file_conflicts():
-    t = parse_tbox("A [= B")
-    bad = parse_abox("A(x1,y1)")
-    with pytest.raises(ParseError):
-        check_signature(t, bad)
+def test_threaded_parse_reports_a_cross_file_clash_in_the_later_file():
+    arities: dict[str, int] = {}
+    parse_tbox("A [= B", arities)
+    with pytest.raises(ParseError) as info:
+        parse_abox("B(c)\nA(x1,y1)", arities)
+    assert str(info.value) == "abox:2:1: 'A' used as both concept and role near 'A'"
 
 
 def test_round_trip_on_random_instances():
@@ -595,21 +595,40 @@ def test_parser_matches_the_reference(kind, data):
 
 @st.composite
 def signatures(draw):
-    """A TBox and the parsed ABox, policy and query to check against it;
-    a text that does not parse (its lines clash) is left out."""
-    values = {}
+    """The texts of a TBox, an ABox, a policy and a query, in the order the
+    CLI reads them; a text that does not parse on its own (its lines clash)
+    is left out."""
+    texts = {}
     for kind, (parse, _) in PARSERS.items():
-        lines = draw(st.lists(valid_tokens(kind).map(" ".join), max_size=3))
-        got = outcome(parse, "\n".join(lines))
-        values[kind] = None if isinstance(got, tuple) else got
-    return values.pop("tbox") or TBox.of(), [v for v in values.values() if v is not None]
+        text = "\n".join(draw(st.lists(valid_tokens(kind).map(" ".join), max_size=3)))
+        if not isinstance(outcome(parse, text), tuple):
+            texts[kind] = text
+    return texts
+
+
+def parse_threaded(texts: dict[str, str]) -> None:
+    """Parse `texts` in order with one arities dict, as the CLI reads its
+    files."""
+    arities: dict[str, int] = {}
+    for kind, text in texts.items():
+        PARSERS[kind][0](text, arities)
+
+
+def check_parsed_by_reference(texts: dict[str, str]) -> None:
+    values = {kind: PARSERS[kind][0](text) for kind, text in texts.items()}
+    ref_check_signature(values.pop("tbox", TBox.of()), *values.values())
 
 
 @given(signatures())
 @settings(max_examples=300)
-def test_check_signature_matches_the_reference(case):
-    tbox, others = case
-    assert outcome(check_signature, tbox, *others) == outcome(ref_check_signature, tbox, *others)
+def test_threaded_parse_matches_the_signature_reference(texts):
+    got = outcome(parse_threaded, texts)
+    want = outcome(check_parsed_by_reference, texts)
+    assert isinstance(got, tuple) == isinstance(want, tuple)
+    if isinstance(got, tuple):
+        # reported in the later of the two files, not the TBox
+        assert got[1] in ("abox", "policy", "query")
+        assert got[4] == f"{got[5]!r} used as both concept and role"
 
 
 # each message family, with a kind of text that reaches it
@@ -651,9 +670,8 @@ def test_drawn_texts_reach_every_diagnostic(kind, family):
     find(texts(kind), reaches, settings=settings(phases=[Phase.generate], max_examples=2000))
 
 
-def _clashes(case):
-    tbox, others = case
-    return isinstance(outcome(check_signature, tbox, *others), tuple)
+def _clashes(texts):
+    return isinstance(outcome(parse_threaded, texts), tuple)
 
 
 def test_drawn_signatures_reach_an_arity_clash():

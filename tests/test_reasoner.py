@@ -7,6 +7,7 @@ from hypothesis import Phase, find, given, settings, strategies as st
 from cqelite import (
     ABox,
     Atom,
+    BasicConcept,
     ConceptInclusion,
     InclusionClosure,
     InconsistentOntologyError,
@@ -32,7 +33,7 @@ from cqelite import (
     var,
 )
 from cqelite import reasoner
-from cqelite.model import ConjunctiveQuery, Term
+from cqelite.model import ATOMIC, ConjunctiveQuery, Term
 from cqelite.reasoner import (
     Null,
     _Relations,
@@ -261,52 +262,89 @@ def test_drawn_tboxes_reach_unsatisfiable_concepts_and_roles():
 # --- consistency against the per-pair reference ---------------------------------
 
 
-def is_consistent_by_pairs(tbox: TBox, abox: ABox) -> bool:
-    """The reference: one two-atom violation query for every disjointness
-    pair of the saturated TBox, the vacuous pairs of each unsatisfiable
-    expression included."""
+def violated_pairs(tbox: TBox, abox: ABox) -> Iterator[frozenset]:
+    """The reference: the disjointness pairs of the saturated TBox, the
+    vacuous pairs of each unsatisfiable expression included, whose two-atom
+    violation query is entailed."""
     closure = saturate_tbox(tbox)
     x, x2, y1, y2 = var("X1"), var("X2"), var("Y1"), var("Y2")
     bodies = [
-        {concept_atom(items[0], x, y1), concept_atom(items[-1], x, y2)}
-        for items in map(sorted, closure.disjoint_concepts)
+        (pair, {concept_atom(min(pair), x, y1), concept_atom(max(pair), x, y2)})
+        for pair in closure.disjoint_concepts
     ] + [
-        {role_atom(items[0], x, x2), role_atom(items[-1], x, x2)}
-        for items in map(sorted, closure.disjoint_roles)
+        (pair, {role_atom(min(pair), x, x2), role_atom(max(pair), x, x2)})
+        for pair in closure.disjoint_roles
     ]
-    return not any(
-        _entailed_unchecked(tbox, abox, ConjunctiveQuery(frozenset(body))) for body in bodies
+    return (
+        pair
+        for pair, body in bodies
+        if _entailed_unchecked(tbox, abox, ConjunctiveQuery(frozenset(body)))
     )
 
 
-drawn_consts = st.sampled_from(["a", "b"]).map(const)
-drawn_aboxes = st.lists(
-    st.one_of(
-        st.builds(lambda c, x: Atom(c, (x,)), st.sampled_from(DRAWN_CONCEPTS), drawn_consts),
-        st.builds(
-            lambda r, x, y: Atom(r, (x, y)), st.sampled_from(DRAWN_ROLES), drawn_consts, drawn_consts
+def is_consistent_by_pairs(tbox: TBox, abox: ABox) -> bool:
+    return next(violated_pairs(tbox, abox), None) is None
+
+
+def _aboxes(consts: list[str], max_size: int):
+    drawn_consts = st.sampled_from(consts).map(const)
+    return st.lists(
+        st.one_of(
+            st.builds(lambda c, x: Atom(c, (x,)), st.sampled_from(DRAWN_CONCEPTS), drawn_consts),
+            st.builds(
+                lambda r, x, y: Atom(r, (x, y)),
+                st.sampled_from(DRAWN_ROLES),
+                drawn_consts,
+                drawn_consts,
+            ),
         ),
-    ),
-    max_size=4,
-).map(ABox.of)
+        max_size=max_size,
+    ).map(ABox.of)
+
+
+drawn_aboxes = _aboxes(["a", "b"], 4)
+consistency_cases = st.tuples(drawn_tboxes, _aboxes(["a", "b", "c"], 8))
 
 
 @settings(max_examples=300)
-@given(drawn_tboxes, drawn_aboxes)
-def test_is_consistent_matches_per_pair_reference(t, a):
-    assert is_consistent(t, a) == is_consistent_by_pairs(t, a)
+@given(consistency_cases)
+def test_is_consistent_matches_per_pair_reference(case):
+    assert is_consistent(*case) == is_consistent_by_pairs(*case)
+
+
+def _unsatisfiable(tbox: TBox) -> set:
+    closure = saturate_tbox(tbox)
+    return {x for p in closure.disjoint_concepts | closure.disjoint_roles if len(p) == 1 for x in p}
+
+
+# what a violated pair is made of, for each kind of pair the draws must reach
+VIOLATIONS = {
+    "an unsatisfiable concept": lambda p, unsat: len(p) == 1 and isinstance(min(p), BasicConcept),
+    "an unsatisfiable role": lambda p, unsat: len(p) == 1 and isinstance(min(p), RoleExpr),
+    "a role disjoint from an inverse role": lambda p, unsat: (
+        len(p) == 2 and not p & unsat and isinstance(min(p), RoleExpr)
+        and min(p).inverse != max(p).inverse
+    ),
+    "an existential disjoint from a concept": lambda p, unsat: (
+        len(p) == 2 and not p & unsat and isinstance(min(p), BasicConcept)
+        and any(x.kind != ATOMIC for x in p)
+    ),
+}
 
 
 def test_drawn_instances_reach_inconsistency_through_unsatisfiable_expressions():
     """The draws above cover inputs made inconsistent by an unsatisfiable
-    concept and by an unsatisfiable role."""
-    for kind in ("disjoint_concepts", "disjoint_roles"):
-        find(
-            st.tuples(drawn_tboxes, drawn_aboxes),
-            lambda ta: any(len(p) == 1 for p in getattr(saturate_tbox(ta[0]), kind))
-            and not is_consistent_by_pairs(*ta),
-            settings=settings(phases=[Phase.generate]),  # a witness, not a small one
-        )
+    concept, by an unsatisfiable role, and, with neither side
+    unsatisfiable, by a role against an inverse role and by an existential
+    against a concept."""
+    for made_of in VIOLATIONS.values():
+
+        def reaches(case):
+            unsat = _unsatisfiable(case[0])
+            return any(made_of(p, unsat) for p in violated_pairs(*case))
+
+        # a witness, not a small one
+        find(consistency_cases, reaches, settings=settings(phases=[Phase.generate]))
 
 
 # --- homomorphism evaluation ----------------------------------------------------
@@ -770,9 +808,14 @@ def test_closure_validates_a_programmatic_name_when_its_rule_applies():
             closure_by_atoms(t, a)
         with pytest.raises(ValueError, match=f"^bad predicate name: {name!r}$"):
             abox_closure(t, a)
-        # a rule that no fact reads is not applied, so it raises nothing
+        # a rule that no fact reads is not applied, so it raises nothing,
+        # also after the consistency check has looked its predicate up
         other = parse_abox("C(c)\nQ(c,d)")
         assert abox_closure(t, other) is other
+        read = axiom.lhs if isinstance(axiom, ConceptInclusion) else axiom.lhs.domain()
+        t = TBox.of([axiom, ConceptInclusion(read, atomic("D"), True)])
+        other = parse_abox("C(c)\nQ(c,d)")
+        assert is_consistent(t, other) and abox_closure(t, other) is other
 
 
 def test_closure_fixpoint_and_monotone():
@@ -806,6 +849,16 @@ def test_role_disjointness_violation():
     t = parse_tbox("role R [= -S")
     assert not is_consistent(t, parse_abox("R(a,b)\nS(a,b)"))
     assert is_consistent(t, parse_abox("R(a,b)\nS(b,a)"))
+
+
+def test_consistency_reads_the_data_without_rewriting():
+    t = parse_tbox("A [= -B\nrole R [= -S-\nex R- [= -C")
+    before = perfect_ref.cache_info()
+    assert not is_consistent(t, parse_abox("A(c)\nB(c)"))
+    assert not is_consistent(t, parse_abox("R(a,b)\nS(b,a)"))
+    assert not is_consistent(t, parse_abox("R(a,b)\nC(b)"))
+    assert is_consistent(t, parse_abox("R(a,b)\nS(a,b)\nC(a)"))
+    assert perfect_ref.cache_info() == before
 
 
 def test_entailed_disjointness_violation():
