@@ -44,7 +44,7 @@ from .reasoner import (
     is_consistent,
     is_policy_consistent,
 )
-from .rewriting import eval_fo, qib_rewrite_report
+from .rewriting import eval_fo, qib_rewrite, qib_rewrite_report
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -164,8 +164,7 @@ def cmd_entail(args) -> int:
         verdict = qib_entail(inp.tbox, inp.policy, inp.abox, inp.query)
     else:  # qib-fo
         _require_consistent(inp.tbox, inp.abox)
-        node, _ = qib_rewrite_report(inp.query, inp.tbox, inp.policy)
-        verdict = eval_fo(node, inp.abox)
+        verdict = eval_fo(qib_rewrite(inp.query, inp.tbox, inp.policy), inp.abox)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     payload = {
         "semantics": args.semantics,

@@ -301,10 +301,6 @@ class Denial:
         if not self.body:
             raise ValueError("denial body must be non-empty")
 
-    @property
-    def variables(self) -> frozenset[Term]:
-        return frozenset(v for a in self.body for v in a.variables())
-
 
 @dataclass(frozen=True)
 class Policy:

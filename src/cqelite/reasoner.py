@@ -3,14 +3,18 @@
 The pieces fit together like this: `saturate_tbox` closes the inclusion
 axioms into full subsumption / disjointness relations, found by
 reachability over the signature, and its result also indexes the
-subsumptions by either side for the closure, the chase and the rewriting;
+subsumptions by either side for the closure, the chase and `atom_rewr`.
 `perfect_ref` rewrites a conjunctive query into a union of queries whose
 plain evaluation over the raw data coincides with certain-answer
-entailment; `abox_closure` materializes every entailed ground atom over the
-data constants; `is_consistent` reads the disjointness pairs of the TBox
-closure off the data's asserted expressions, with no rewriting.
-`chase_bounded` builds a truncated canonical model and serves
-as an independent entailment oracle for validating the rewriting.
+entailment.  It reads each atom as the expressions it asserts, and the
+TBox's own positive inclusions one step at a time (`_one_step`), not the
+closure's maps: those pair every unsatisfiable expression with every
+expression, so reading them would change the rewriting sets.
+`abox_closure` materializes every entailed ground atom over the data
+constants; `is_consistent` reads the disjointness pairs of the TBox closure
+off the data's asserted expressions, with no rewriting.  `chase_bounded`
+builds a truncated canonical model and serves as an independent entailment
+oracle for validating the rewriting.
 
 One matcher answers every conjunctive query match, by set joins over whole
 row sets: `_components` joins the atoms' rows (`_atom_rows`, `_join`)
@@ -47,7 +51,6 @@ from .model import (
     ABox,
     Atom,
     BasicConcept,
-    ConceptInclusion,
     ConjunctiveQuery,
     Policy,
     RoleExpr,
@@ -507,9 +510,9 @@ def _canonical_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
         for t in a.args:
             if t.is_var and t not in mapping:
                 mapping[t] = var(f"V{len(mapping) + 1}")
-    return ConjunctiveQuery(
-        frozenset(Atom(a.predicate, tuple(mapping.get(t, t) for t in a.args)) for a in atoms)
-    )
+    return ConjunctiveQuery(frozenset(
+        unchecked_atom((a.predicate, tuple(mapping.get(t, t) for t in a.args))) for a in atoms
+    ))
 
 
 def _var_counts(atoms: frozenset[Atom]) -> dict[Term, int]:
@@ -521,64 +524,35 @@ def _var_counts(atoms: frozenset[Atom]) -> dict[Term, int]:
     return counts
 
 
-def _fresh_var(atoms: frozenset[Atom]) -> Term:
-    used = {t.name for a in atoms for t in a.args}
-    i = 1
-    while f"F{i}" in used:
-        i += 1
-    return var(f"F{i}")
+# the witness of an existential left side; every rewriting is canonical, so
+# its variables are V1...Vn and this one is free
+_FRESH = var("F1")
 
 
-def _apply_concept_axiom(
-    ax: ConceptInclusion, g: Atom, counts: dict[Term, int], atoms: frozenset[Atom]
-) -> Optional[Atom]:
-    """Replacement for `g` via `ax` read right-to-left, or None."""
-    rhs = ax.rhs
-    if rhs.kind == "atomic":
-        if g.arity != 1 or g.predicate != rhs.name:
-            return None
-        t = g.args[0]
-    elif rhs.kind == "exists":
-        if g.arity != 2 or g.predicate != rhs.name:
-            return None
-        t2 = g.args[1]
-        if t2.is_const or counts.get(t2, 0) != 1:
-            return None
-        t = g.args[0]
-    else:
-        if g.arity != 2 or g.predicate != rhs.name:
-            return None
-        t1 = g.args[0]
-        if t1.is_const or counts.get(t1, 0) != 1:
-            return None
-        t = g.args[1]
-    lhs = ax.lhs
-    if lhs.kind == "atomic":
-        return Atom(lhs.name, (t,))
-    return concept_atom(lhs, t, _fresh_var(atoms))
+def _one_step(tbox: TBox) -> dict[Union[BasicConcept, RoleExpr], list]:
+    """The left sides of the TBox's positive inclusions, keyed by their right
+    side; a role inclusion r [= s is also read as r- [= s-."""
+    lhs_of: dict = {}
+    for ax in tbox.axioms:
+        if not ax.negated:
+            lhs_of.setdefault(ax.rhs, []).append(ax.lhs)
+            if isinstance(ax, RoleInclusion):
+                lhs_of.setdefault(ax.rhs.inverted(), []).append(ax.lhs.inverted())
+    return lhs_of
 
 
-def _apply_role_axiom(ax: RoleInclusion, g: Atom) -> Optional[Atom]:
-    if g.arity != 2 or g.predicate != ax.rhs.name:
-        return None
-    t1, t2 = g.args
-    if ax.rhs.inverse:
-        t1, t2 = t2, t1
-    return role_atom(ax.lhs, t1, t2)
+def _resolve(t: Term, subst: dict[Term, Term]) -> Term:
+    while t in subst:
+        t = subst[t]
+    return t
 
 
 def _unify_atoms(g1: Atom, g2: Atom) -> Optional[dict[Term, Term]]:
     if g1.predicate != g2.predicate or g1.arity != g2.arity:
         return None
     subst: dict[Term, Term] = {}
-
-    def walk(t: Term) -> Term:
-        while t.is_var and t in subst:
-            t = subst[t]
-        return t
-
     for a, b in zip(g1.args, g2.args):
-        a, b = walk(a), walk(b)
+        a, b = _resolve(a, subst), _resolve(b, subst)
         if a == b:
             continue
         if a.is_var:
@@ -590,54 +564,51 @@ def _unify_atoms(g1: Atom, g2: Atom) -> Optional[dict[Term, Term]]:
     return subst
 
 
-def _substitute(atoms: frozenset[Atom], subst: dict[Term, Term]) -> frozenset[Atom]:
-    def resolve(t: Term) -> Term:
-        while t.is_var and t in subst:
-            t = subst[t]
-        return t
-
-    return frozenset(Atom(a.predicate, tuple(resolve(t) for t in a.args)) for a in atoms)
-
-
 @lru_cache(maxsize=65536)
 def perfect_ref(q: ConjunctiveQuery, tbox: TBox) -> frozenset[ConjunctiveQuery]:
     """Rewrite `q` into the finite set of conjunctive queries whose direct
     evaluation over any ABox decides certain-answer entailment.
 
-    Alternates two steps until no new query appears: replacing an atom with
-    the left side of an applicable positive inclusion (existential inclusions
-    apply only when the witness position holds an unshared variable), and
-    collapsing two unifiable atoms so that previously shared variables may
-    become unshared."""
-    pos_axioms = [ax for ax in tbox.axioms if not ax.negated]
+    Alternates two steps until no new query appears.  An atom is read as
+    what it asserts, its role and the basic concepts `_realized` gives, and
+    is replaced by the atom of each left side that `_one_step` finds under
+    one of them; an existential right side applies only when its witness,
+    the atom's other argument, is an unshared variable.  Two unifiable atoms
+    are collapsed, so that previously shared variables may become
+    unshared."""
+    lhs_of = _one_step(tbox)
     start = _canonical_cq(q)
     seen: set[ConjunctiveQuery] = {start}
     frontier: list[ConjunctiveQuery] = [start]
+
+    def visit(atoms: frozenset[Atom]) -> None:
+        new = _canonical_cq(ConjunctiveQuery(atoms))
+        if new not in seen:
+            seen.add(new)
+            frontier.append(new)
+
     while frontier:
         cur = frontier.pop()
         counts = _var_counts(cur.atoms)
         for g in cur.atoms:
-            for ax in pos_axioms:
-                if isinstance(ax, ConceptInclusion):
-                    repl = _apply_concept_axiom(ax, g, counts, cur.atoms)
-                else:
-                    repl = _apply_role_axiom(ax, g)
-                if repl is None:
-                    continue
-                new = _canonical_cq(ConjunctiveQuery((cur.atoms - {g}) | {repl}))
-                if new not in seen:
-                    seen.add(new)
-                    frontier.append(new)
-        atom_list = sorted(cur.atoms, key=lambda a: (a.predicate, a.arity))
-        for i in range(len(atom_list)):
-            for j in range(i + 1, len(atom_list)):
-                subst = _unify_atoms(atom_list[i], atom_list[j])
-                if subst is None or not subst:
-                    continue
-                new = _canonical_cq(ConjunctiveQuery(_substitute(cur.atoms, subst)))
-                if new not in seen:
-                    seen.add(new)
-                    frontier.append(new)
+            if g.arity == 2:
+                for r in lhs_of.get(RoleExpr(g.predicate), ()):
+                    visit((cur.atoms - {g}) | {role_atom(r, *g.args)})
+            for (b, t), witness in zip(_realized(g.predicate, g.args), reversed(g.args)):
+                if b.kind == ATOMIC or counts.get(witness) == 1:
+                    for lhs in lhs_of.get(b, ()):
+                        visit((cur.atoms - {g}) | {concept_atom(lhs, t, _FRESH)})
+        # pairs in sorted order: which variable a unifier keeps depends on
+        # it, and set order would make the rewriting depend on the hash seed
+        atom_list = sorted(cur.atoms)
+        for i, g1 in enumerate(atom_list):
+            for g2 in atom_list[i + 1 :]:
+                subst = _unify_atoms(g1, g2)
+                if subst:
+                    visit(frozenset(
+                        unchecked_atom((a.predicate, tuple(_resolve(t, subst) for t in a.args)))
+                        for a in cur.atoms
+                    ))
     return frozenset(seen)
 
 

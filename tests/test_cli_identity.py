@@ -7,17 +7,27 @@ constants `a` and `b`, for `consistency`, `closure`, `censor`,
 semantics, in JSON and in text.  One SHA-256 is taken over the commands'
 stdout (with `elapsed_ms` dropped), stderr and exit codes.  A change that
 alters any output byte changes the digest; a change meant to alter output
-records the new digest here and says why in CHANGES.md."""
+records the new digest here and says why in CHANGES.md.
+
+The output does not depend on the hash seed: the digest was the same under
+PYTHONHASHSEED 0, 1 and 2, and the seed is pinned here only so that a
+failure reproduces.
+`test_rewrite_does_not_depend_on_the_hash_seed` runs `rewrite` under two
+hash seeds on the two seeds where set order once changed the rewriting."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+from cqelite.gen import random_bcq, random_instance
+from cqelite.parser import serialize_policy, serialize_query, serialize_tbox
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 30)
-DIGEST = "249045fbd32049509d9df5d0ea9015a830b2e0f2b0b3c5846097377d3c08ba31"
+DIGEST = "bf4813e255db0f6accbec94741f9cbb7f53e9b16078012697ebea10b6d399f2c"
 
 SCRIPT = r"""
 import contextlib, hashlib, io, json, random, sys, tempfile
@@ -60,12 +70,38 @@ print(json.dumps({"digest": digest.hexdigest(), "exits": sorted(exits)}))
 """
 
 
-def test_cli_output_is_byte_identical_on_random_instances():
-    env = dict(os.environ, PYTHONHASHSEED="0")
+def _env(hash_seed: str) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_output_is_byte_identical_on_random_instances():
     proc = subprocess.run([sys.executable, "-c", SCRIPT, *map(str, SEEDS)],
-                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=170)
+                          cwd=ROOT, env=_env("0"), capture_output=True, text=True, timeout=170)
     assert proc.returncode == 0, proc.stderr[-3000:]
     result = json.loads(proc.stdout)
     assert {0, 3, 4} <= set(result["exits"])
     assert result["digest"] == DIGEST
+
+
+def test_rewrite_does_not_depend_on_the_hash_seed(tmp_path):
+    # on these two seeds, pairing atoms for unification in set order made
+    # `rewrite` print a different rewriting under each hash seed
+    main = "import sys; from cqelite import cli; sys.exit(cli.main(sys.argv[1:]))"
+    for seed in (11, 37):
+        tbox, policy, _ = random_instance(seed)
+        texts = {"tbox": serialize_tbox(tbox), "policy": serialize_policy(policy),
+                 "query": serialize_query(random_bcq(random.Random(seed), tbox))}
+        argv = ["rewrite", "--format", "text"]
+        for kind, text in texts.items():
+            path = tmp_path / f"{seed}-{kind}.txt"
+            path.write_text(text)
+            argv.append(f"--{kind}={path}")
+        outputs = set()
+        for hash_seed in ("0", "1"):
+            proc = subprocess.run([sys.executable, "-c", main, *argv], cwd=ROOT,
+                                  env=_env(hash_seed), capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr[-3000:]
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, seed
