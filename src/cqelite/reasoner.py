@@ -16,14 +16,17 @@ off the data's asserted expressions, with no rewriting.  `chase_bounded`
 builds a truncated canonical model and serves as an independent entailment
 oracle for validating the rewriting.
 
-One matcher answers every conjunctive query match, by set joins over whole
-row sets: `_components` joins the atoms' rows (`_atom_rows`, `_join`)
-smallest first, one variable-connected component at a time, and
-`_homomorphisms` yields bindings over the components.  It decides `eval_cq`
-and `chase_satisfies`, and yields the images behind `censors.secrets` and
-`ib`'s counter-censor search and behind the pattern minimality check in
-`rewriting`.  `eval_fo` reads atoms with `_atom_rows` and joins the
-positive conjuncts of a conjunction with `_components`, in the same order.
+One plan orders every conjunctive query match over whole row sets:
+`_plan` takes the atoms' rows (`_atom_rows`) smallest first, one
+variable-connected component at a time.  Verdicts probe the plan's last
+step, while images join it in full.  `_satisfiable` joins every part of a
+component but the last (`_join`) and probes the last one for a first
+witness (`_witness`), so it decides `eval_cq`, `chase_satisfies` and the
+`EXISTS` conjunctions of `eval_fo`, whose negated guards it checks on the
+way.  `_components` joins every part (`_bound_rows`), for the images behind
+`censors.secrets` and `ib`'s counter-censor search and behind the pattern
+minimality check in `rewriting`, and for the other conjunctions of
+`eval_fo`.
 
 One rule table on the TBox closure, `InclusionClosure.fact_rules`, derives
 the entailed atoms for both `abox_closure` and `chase_bounded`: for each
@@ -403,33 +406,141 @@ def _join(v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple]) 
     return out_vars, out
 
 
-def _components(parts: Iterable[_Rows]) -> Optional[list[_Rows]]:
-    """Join row sets into one row set per variable-connected component, or
-    None as soon as a part or a join comes out empty, so `parts` is read no
-    further than its first empty one.  Parts over no variables hold the
-    empty row and are dropped.  The rest are joined smallest first, each
-    next one sharing a variable with those already joined; when none does,
-    the component is complete and the next one starts from the smallest
-    part left."""
+def _plan(parts: Iterable[_Rows]) -> Optional[list[list[_Rows]]]:
+    """The join order of row sets: the parts of each variable-connected
+    component in the order they are joined, or None as soon as a part is
+    empty, so `parts` is read no further than its first empty one.  Parts
+    over no variables hold the empty row and are dropped.  The rest are
+    taken smallest first, ties broken by their sorted variables and then
+    their variable tuple, so the order does not depend on the order of
+    `parts`; each next one shares a variable with those already taken, and
+    when none does, the component is complete and the next one starts from
+    the smallest part left."""
     todo: list[_Rows] = []
     for part in parts:
         if not part[1]:
             return None
         if part[0]:
             todo.append(part)
-    todo.sort(key=lambda p: len(p[1]))
-    components: list[_Rows] = []
+    todo.sort(key=lambda p: (len(p[1]), sorted(p[0]), p[0]))
+    plan: list[list[_Rows]] = []
     while todo:
-        cur_vars, cur = todo.pop(0)
-        while True:
-            i = next((i for i, (v, _) in enumerate(todo) if any(x in cur_vars for x in v)), None)
-            if i is None:
-                break
-            cur_vars, cur = _join(cur_vars, cur, *todo.pop(i))
+        component = [todo.pop(0)]
+        seen = set(component[0][0])
+        i = 0
+        while i < len(todo):
+            if seen.isdisjoint(todo[i][0]):
+                i += 1
+            else:
+                component.append(todo.pop(i))
+                seen.update(component[-1][0])
+                i = 0
+        plan.append(component)
+    return plan
+
+
+def _components(parts: Iterable[_Rows]) -> Optional[list[_Rows]]:
+    """Join row sets into one row set per variable-connected component, in
+    `_plan`'s order, or None as soon as a part or a join comes out empty."""
+    plan = _plan(parts)
+    if plan is None:
+        return None
+    components: list[_Rows] = []
+    for (cur_vars, cur), *rest in plan:
+        for part in rest:
+            cur_vars, cur = _join(cur_vars, cur, *part)
             if not cur:
                 return None
         components.append((cur_vars, cur))
     return components
+
+
+def _columns(v: tuple, out_vars: tuple) -> itemgetter:
+    """The values of a row over `v` at `out_vars`, as a tuple."""
+    if len(out_vars) == 1:
+        i = v.index(out_vars[0])
+        return itemgetter(slice(i, i + 1))
+    if not out_vars:
+        return itemgetter(slice(0, 0))
+    return itemgetter(*map(v.index, out_vars))
+
+
+def _witness(v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple],
+             negated: list[_Rows]) -> bool:
+    """True iff some row of the natural join of two row sets lies in none of
+    the `negated` row sets, each over some of their variables.  The smaller
+    side is streamed through the larger one when they range over the same
+    variables, and indexed by the shared ones and probed otherwise; the
+    search stops at the first such row.  With nothing negated it is an
+    `isdisjoint`, which runs in C."""
+    if len(r1) > len(r2):
+        v1, r1, v2, r2 = v2, r2, v1, r1
+    if len(v1) == len(v2) and set(v1) == set(v2):
+        rows = r1 if v1 == v2 else map(_columns(v1, v2), r1)
+        if not negated:
+            return not r2.isdisjoint(rows)
+        out_vars, found = v2, filter(r2.__contains__, rows)
+    else:
+        shared = tuple(x for x in v2 if x in v1)
+        key1, key2 = _columns(v1, shared), _columns(v2, shared)
+        if not negated:
+            return not set(map(key1, r1)).isdisjoint(map(key2, r2))
+        index: dict[tuple, list[tuple]] = {}
+        for r in r1:
+            index.setdefault(key1(r), []).append(r)
+        rest = tuple(x for x in v2 if x not in v1)
+        tail = _columns(v2, rest)
+        out_vars = v1 + rest
+        found = (head + tail(r) for r in r2 for head in index.get(key2(r), ()))
+    return _survives(out_vars, found, negated)
+
+
+def _survives(v: tuple, rows: Iterable[tuple], negated: list[_Rows]) -> bool:
+    """True iff some row over `v` lies in none of the `negated` row sets."""
+    checks = [(_columns(v, nv), nrows) for nv, nrows in negated]
+    return any(all(pick(r) not in nrows for pick, nrows in checks) for r in rows)
+
+
+def _satisfiable(parts: Iterable[_Rows], negated: Iterable[_Rows] = ()) -> bool:
+    """True iff some row of the natural join of `parts` lies in none of the
+    `negated` row sets, each over variables of the parts: the existence
+    test behind every Boolean verdict.
+
+    It follows `_plan`: each component joins every part but its last with
+    `_join`, and probes the last one (`_witness`) instead of joining it,
+    which is exact for any body, cyclic or not.  The components are decided
+    one at a time, never multiplied, and the first empty one answers False;
+    only components that one negated set spans are decided together, through
+    their product.  A negated part that is a positive part's own row set over
+    the same variable tuple empties the conjunction at once."""
+    plan = _plan(parts)
+    if plan is None:
+        return False
+    negated = [n for n in negated if n[1]]
+    by_component: list[list[_Rows]] = [[] for _ in plan]
+    if negated:
+        positives = [p for component in plan for p in component]
+        for nv, nrows in negated:
+            if not nv or any(nrows is rows and nv == v for v, rows in positives):
+                return False
+        owner = {x: i for i, component in enumerate(plan) for v, _ in component for x in v}
+        if any(len({owner[x] for x in nv}) > 1 for nv, _ in negated):
+            plan, by_component, owner = [positives], [[]], dict.fromkeys(owner, 0)
+        for n in negated:
+            by_component[owner[n[0][0]]].append(n)
+    for (*head, (v2, r2)), excluded in zip(plan, by_component):
+        if not head:
+            if excluded and not _survives(v2, r2, excluded):
+                return False
+            continue
+        (v1, r1), *rest = head
+        for part in rest:
+            v1, r1 = _join(v1, r1, *part)
+            if not r1:
+                return False
+        if not _witness(v1, r1, v2, r2, excluded):
+            return False
+    return True
 
 
 def _bound_rows(atoms: Iterable[Atom], rel: _Relations) -> tuple[list[Term], Iterable[tuple]]:
@@ -446,13 +557,6 @@ def _bound_rows(atoms: Iterable[Atom], rel: _Relations) -> tuple[list[Term], Ite
     if len(components) == 1:
         return names, components[0][1]
     return names, map(tuple, map(chain.from_iterable, product(*(rows for _, rows in components))))
-
-
-def _homomorphisms(atoms: Iterable[Atom], rel: _Relations) -> Iterator[dict]:
-    """Every map of the variables of `atoms` that sends each atom to a row
-    of `rel`, constants fixed (`_bound_rows`)."""
-    names, rows = _bound_rows(atoms, rel)
-    return (dict(zip(names, row)) for row in rows)
 
 
 def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
@@ -488,14 +592,15 @@ def _abox_relations(abox: ABox) -> _Relations:
 def eval_cq(q: ConjunctiveQuery, abox: ABox) -> bool:
     """True iff some homomorphism maps the query atoms into the ABox
     (variables to constants, constants fixed)."""
-    return next(_homomorphisms(q.atoms, _abox_relations(abox)), None) is not None
+    rel = _abox_relations(abox)
+    return _satisfiable(_atom_rows(a, rel) for a in q.atoms)
 
 
 # --- query rewriting ----------------------------------------------------------
 
 
 def _atom_key(a: Atom) -> tuple:
-    return (a.predicate, a.arity, tuple((t.kind, t.name) for t in a.args))
+    return (a.predicate, a.arity, a.args)
 
 
 def _canonical_cq(q: ConjunctiveQuery) -> ConjunctiveQuery:
@@ -803,7 +908,8 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
 
 def chase_satisfies(chase: ChaseStructure, q: ConjunctiveQuery) -> bool:
     """Homomorphism check into a chase structure; variables may map to nulls."""
-    return next(_homomorphisms(q.atoms, _Relations(chase.atoms)), None) is not None
+    rel = _Relations(chase.atoms)
+    return _satisfiable(_atom_rows(a, rel) for a in q.atoms)
 
 
 def chase_entails(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:

@@ -2,11 +2,13 @@
 
 `eval_fo` evaluates an FO sentence over an ABox with quantifiers ranging over
 the active domain.  It works on whole sets of rows: an atom over distinct
-variables reads its predicate's stored rows as they are, the positive
-conjuncts of a conjunction are joined in the conjunctive query matcher's
-order and a negated one is subtracted, and a sentence stops at its first
-true disjunct, with an `Exists` prefix split across the disjuncts of an `Or`
-so that variable-disjoint disjuncts are never spread over the active domain.
+variables reads its predicate's stored rows as they are, an `Exists`
+conjunction is decided by the conjunctive query matcher's existence test,
+which probes the last join for a first witness outside its negated
+conjuncts, other conjunctions are joined in the matcher's order and a
+negated conjunct subtracted, and a sentence stops at its first true
+disjunct, with an `Exists` prefix split across the disjuncts of an `Or` so
+that variable-disjoint disjuncts are never spread over the active domain.
 
 `atom_rewr` pushes entailed subsumptions into a query so that evaluating the
 result over the raw data simulates evaluating the input over the ground-atom
@@ -71,6 +73,7 @@ from .reasoner import (
     _images,
     _join,
     _reorder,
+    _satisfiable,
     concept_atom,
     denial_query,
     perfect_ref,
@@ -97,12 +100,18 @@ class _Evaluator:
       stored row set as it is, and a ground atom is a lookup in that set
       (`reasoner._atom_rows`, shared with the conjunctive query matcher);
     - the positive conjuncts are joined in the matcher's order
-      (`reasoner._components`): smallest first, one variable-connected
-      component at a time, intersected when they range over the same
-      variables and hash-joined otherwise; a conjunction stops at its first
-      empty conjunct or join, and only its variable-disjoint components are
-      multiplied; a negated conjunct is subtracted after the columns are put
-      in the same order; disjuncts that differ only in column order are
+      (`reasoner._plan`): smallest first, one variable-connected component
+      at a time, intersected when they range over the same variables and
+      hash-joined otherwise; a conjunction stops at its first empty conjunct
+      or join;
+    - `truth` decides an `Exists` conjunction whose positive conjuncts bind
+      every variable with the matcher's existence test
+      (`reasoner._satisfiable`): verdicts probe the last step of each
+      component for a first row outside the negated conjuncts, and multiply
+      only the components that one negated conjunct spans;
+    - the rows of any other conjunction multiply its variable-disjoint
+      components, and a negated conjunct is subtracted after the columns are
+      put in the same order; disjuncts that differ only in column order are
       re-ordered, not spread;
     - `truth` stops a sentence at its first true disjunct, and splits an
       `Exists` prefix across the disjuncts of an `Or`, keeping only the
@@ -136,7 +145,30 @@ class _Evaluator:
             # EXISTS x (p OR q) == EXISTS x p OR EXISTS x q, and EXISTS x p
             # with x not free in p holds iff p does and the domain is not empty
             return any(self._exists_truth(prefix, c) for c in body.children)
+        if isinstance(body, And):
+            return self._and_truth(prefix, body)
         return bool(self.rows(node)[1])
+
+    def _and_truth(self, prefix: list[Term], body: And) -> bool:
+        """Truth of EXISTS prefix (positives AND NOT guards).  The positive
+        conjuncts are read first, up to the first empty one, and the guards
+        after them.  When the positives bind every prefix and guard variable,
+        `reasoner._satisfiable` probes for the first witness; otherwise the
+        rows already read are joined (`_and_rows`)."""
+        positives: list[_Rows] = []
+        for c in body.children:
+            if not isinstance(c, Not):
+                part = self.rows(c)
+                if not part[1]:
+                    return False
+                positives.append(part)
+        guards = [self.rows(c.body) for c in body.children if isinstance(c, Not)]
+        bound = {x for v, _ in positives for x in v}
+        if all(x in bound for x in prefix) and all(x in bound for v, _ in guards for x in v):
+            return _satisfiable(positives, guards)
+        v, rws = self._and_rows(positives, guards)
+        # a prefix variable the rows leave out ranges over the active domain
+        return bool(rws) and (all(x in v for x in prefix) or bool(self.adom))
 
     def _exists_truth(self, prefix: list[Term], body: FONode) -> bool:
         free = free_variables(body)
@@ -177,7 +209,10 @@ class _Evaluator:
                     out |= self._spread(v, rws, out_vars)
             return out_vars, out
         if isinstance(node, And):
-            return self._and_rows(node)
+            return self._and_rows(
+                (self.rows(c) for c in node.children if not isinstance(c, Not)),
+                (self.rows(c.body) for c in node.children if isinstance(c, Not)),
+            )
         raise TypeError(f"not an FO node: {node!r}")
 
     def _eq_rows(self, node: Eq) -> _Rows:
@@ -191,17 +226,17 @@ class _Evaluator:
             return (l,), {(a,) for a in self.adom}
         return (l, r), {(a, a) for a in self.adom}
 
-    def _and_rows(self, node: And) -> _Rows:
-        components = _components(self.rows(c) for c in node.children if not isinstance(c, Not))
+    def _and_rows(self, positives: Iterable[_Rows], negated: Iterable[_Rows]) -> _Rows:
+        """The rows of a conjunction: the join of its positive conjuncts'
+        rows minus its negated ones', each negated one read only while the
+        rows left are not empty."""
+        components = _components(positives)
         if components is None:
             return (), set()
         cur_vars, cur = components[0] if components else ((), {()})
         for v, rws in components[1:]:
             cur_vars, cur = _join(cur_vars, cur, v, rws)
-        for c in node.children:
-            if not isinstance(c, Not):
-                continue
-            iv, irows = self.rows(c.body)
+        for iv, irows in negated:
             if not irows:
                 continue
             if not iv:

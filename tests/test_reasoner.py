@@ -32,14 +32,14 @@ from cqelite import (
     saturate_tbox,
     var,
 )
-from cqelite import reasoner
+from cqelite import eval_fo, parse_policy, qib_rewrite, reasoner, rewriting
 from cqelite.model import ATOMIC, ConjunctiveQuery, Term
 from cqelite.reasoner import (
     Null,
     _Relations,
     _canonical_cq,
     _entailed_unchecked,
-    _homomorphisms,
+    ChaseStructure,
     chase_satisfies,
     concept_atom,
     role_atom,
@@ -420,6 +420,14 @@ def homomorphisms_by_backtracking(atoms: list[Atom], facts) -> Iterator[dict]:
     yield from search(list(atoms), {})
 
 
+def _homomorphisms(atoms: list[Atom], rel: _Relations) -> Iterator[dict]:
+    """Every map of the variables of `atoms` that sends each atom to a row
+    of `rel`, constants fixed: the bound rows of `reasoner._bound_rows`,
+    which `_images` reads, as bindings."""
+    names, rows = reasoner._bound_rows(atoms, rel)
+    return (dict(zip(names, row)) for row in rows)
+
+
 match_consts = st.sampled_from(["a", "b", "c"]).map(const)
 match_vars = st.sampled_from(["X", "Y", "Z"]).map(var)
 match_terms = st.one_of(match_vars, match_consts)
@@ -485,6 +493,19 @@ def test_homomorphisms_match_backtracking_reference(case):
     got = _bindings(_homomorphisms(atoms, _Relations(facts)))
     want = set(_bindings(homomorphisms_by_backtracking(atoms, facts)))
     assert len(got) == len(set(got)) and set(got) == want
+
+
+@settings(max_examples=400)
+@given(match_cases())
+def test_boolean_verdicts_match_backtracking_reference(case):
+    """`chase_satisfies` on the stored rows of every kind, and `eval_cq` on
+    the ABox rows, answer whether the reference finds a homomorphism."""
+    kind, facts, atoms = case
+    want = any(True for _ in homomorphisms_by_backtracking(atoms, facts))
+    query = ConjunctiveQuery(frozenset(atoms))
+    assert chase_satisfies(ChaseStructure(frozenset(facts), {}), query) == want
+    if kind == "abox":
+        assert eval_cq(query, ABox.of(Atom(pred, args) for pred, args in facts)) == want
 
 
 def test_match_cases_reach_constants_repeats_disjoint_atoms_nulls_and_variables():
@@ -596,6 +617,54 @@ def test_eval_cq_never_multiplies_disjoint_components(monkeypatch):
     assert chase_satisfies(chase, q("R(X,Y), B(Z)"))
     assert chase_satisfies(chase, q("R(X,Y), A(X), B(Z)"))
     assert not chase_satisfies(chase, q("R(X,Y), A(Y), B(Z)"))
+
+
+def test_boolean_verdicts_stop_at_the_first_witness(monkeypatch):
+    """A Boolean verdict probes the last step of its join and builds no
+    join: `A(X), B(X)` over 2000 + 2000 atoms, and the supplier `qib-fo`
+    sentence of `Supplier(X), ProjB(X)`, whose first disjunct is `ProjA(V1)
+    AND ProjB(V1) AND NOT ProjB(V1) AND NOT ProjA(V1)`, are answered without
+    calling `_join`."""
+
+    tbox = parse_tbox("ProjA [= Supplier\nProjB [= Supplier")
+    policy = parse_policy("denial :- ProjA(X), ProjB(X)")
+    # compiled first: the conflict patterns' minimality check joins
+    sentence = qib_rewrite(q("Supplier(X), ProjB(X)"), tbox, policy)
+
+    def no_join(v1, r1, v2, r2):
+        raise AssertionError(f"join of {v1} and {v2}")
+
+    monkeypatch.setattr(reasoner, "_join", no_join)
+    monkeypatch.setattr(rewriting, "_join", no_join)
+    shared = [Atom(p, (const(f"c{i}"),)) for p in "AB" for i in range(2000)]
+    apart = [Atom(p, (const(f"{p}{i}"),)) for p in "AB" for i in range(2000)]
+    assert [eval_cq(q("A(X), B(X)"), ABox.of(atoms)) for atoms in (shared, apart)] == [True, False]
+
+    kinds = {"a": ["ProjA"], "b": ["ProjB"], "ab": ["ProjA", "ProjB"], "s": ["Supplier"]}
+    atoms = [Atom(p, (const(f"{k}{i}"),)) for k, ps in kinds.items() for p in ps for i in range(1000)]
+    only_both = [a for a in atoms if not a.args[0].name.startswith("b")]
+    assert [eval_fo(sentence, ABox.of(data)) for data in (atoms, only_both)] == [True, False]
+
+
+def test_join_order_does_not_depend_on_the_order_of_the_parts():
+    """Equal-sized parts are ordered by their sorted variables and then
+    their variable tuple, so the planner gives one variable order for the
+    same parts in any order."""
+    X, Y, Z = var("X"), var("Y"), var("Z")
+    rows = [{(const("a"), const("b")), (const("b"), const("a"))}, {(const("a"),), (const("b"),)}]
+    parts = [((X, Y), rows[0]), ((Y, X), rows[0]), ((Y,), rows[1]), ((X,), rows[1]),
+             ((Z, X), rows[0]), ((Z,), rows[1])]
+
+    def orders(parts):
+        plan = reasoner._plan(parts)
+        return [[v for v, _ in c] for c in plan], [v for v, _ in reasoner._components(parts)]
+
+    want = orders(parts)
+    assert want[0] == [[(X,), (X, Y), (Y, X), (Z, X), (Y,), (Z,)]]
+    for seed in range(20):
+        shuffled = parts[:]
+        random.Random(seed).shuffle(shuffled)
+        assert orders(shuffled) == want
 
 
 # --- perfect reformulation -------------------------------------------------------

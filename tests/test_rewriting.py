@@ -170,8 +170,16 @@ def _xy(body):
 
 # the shapes the set-based paths single out: swapped role columns under AND
 # and NOT, disjuncts over the same variables in another order, EXISTS over
-# variable-disjoint disjuncts, a repeated variable, and equality and truth nodes
+# variable-disjoint disjuncts, a repeated variable, and equality and truth
+# nodes; and those the existence test singles out: a positive conjunct
+# negated over the same columns and over swapped ones, a cyclic body with a
+# guard, a guard spanning two components, and a variable bound only by Eq
 @settings(max_examples=150)
+@example(Exists(X, And((A("A", X), A("B", X), Not(A("B", X)), Not(A("A", X))))), parse_abox("A(a)\nB(a)"))
+@example(_xy(And((A("R", X, Y), Not(A("R", Y, X))))), parse_abox("R(a,b)"))
+@example(_xy(And((A("R", X, Y), A("R", Y, X), Not(A("S", X, Y))))), parse_abox("R(a,b)\nR(b,a)\nS(a,b)\nS(b,a)"))
+@example(_xy(And((A("A", X), A("B", Y), Not(A("R", X, Y))))), parse_abox("A(a)\nB(b)\nR(a,b)"))
+@example(_xy(And((A("A", X), Eq(Y, const("b")), Not(A("R", X, Y))))), parse_abox("A(a)\nA(b)\nR(a,b)"))
 @example(Exists(X, A("R", X, X)), parse_abox("R(a,b)"))
 @example(_xy(And((A("R", X, Y), Not(A("S", Y, X))))), parse_abox("R(a,b)\nS(b,a)"))
 @example(_xy(And((A("R", X, Y), A("S", Y, X)))), parse_abox("R(a,b)\nS(b,a)"))

@@ -16,15 +16,12 @@ that the first `qib` request of a round pays for:
 - `iar_repair`;
 - the repair's row sets, as for the closure.
 
-It prints the median ms of each step over the 15 fresh ABoxes.  The script
-re-runs itself under PYTHONHASHSEED=0, as the benchmark does, since
-frozenset order breaks ties in the join order.  Standard library only, and
-it writes nothing into the checkout.
+It prints the median ms of each step over the 15 fresh ABoxes.  Standard
+library only, and it writes nothing into the checkout.
 """
 
 from __future__ import annotations
 
-import os
 import statistics
 import sys
 import time
@@ -85,6 +82,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if os.environ.get("PYTHONHASHSEED") != "0":
-        os.execve(sys.executable, [sys.executable, *sys.argv], {**os.environ, "PYTHONHASHSEED": "0"})
     main()

@@ -1,18 +1,30 @@
-"""Per-query request times on the warm `supplier-read` ABox.
+"""Per-request times of the benchmark's queries.
 
-    python3 tools/query_times.py
+    python3 tools/query_times.py            # supplier-read, warm ABox
+    python3 tools/query_times.py censor     # censor, the small instances
 
-Loads the benchmark's supplier instance for seed 1 (`bench/workloads.py`,
-`Supplier`) from this checkout, answers each of its four queries once under
-`certain`, `qib` and `qib-fo` so that the ABox's derived state is warm, and
-prints the median wall time in ms of 200 further requests per query and
-semantics.  Each request is made as `cqelite entail` makes it
+Both modes build the benchmark's instances for seed 1 (`bench/workloads.py`)
+from this checkout and make each request as `cqelite entail` makes it
 (`workloads.answer`).  A `qib-fo` request is shown as its two steps: `qib-fo
 compile` (`qib_rewrite_report`, the sentence) and `qib-fo eval` (`eval_fo`
-of that sentence over the ABox); the two add up to the request.  The script
-re-runs itself under PYTHONHASHSEED=0, as the benchmark does, since
-frozenset order breaks ties in the join order.  Standard library only, and
-it writes nothing into the checkout.
+of that sentence over the ABox); the two add up to the request.
+
+`supplier` (the default) loads the `Supplier` instance, answers each of its
+four queries once under `certain`, `qib` and `qib-fo` so that the ABox's
+derived state is warm, and prints the median wall time in ms of 200 further
+requests per query and semantics.
+
+`censor` takes the `Censor` workload's 50 small instances, answers one
+warm-up round of them, and times each request of the next round once, in
+the round's order.  Each round renames the instances' constants, as the
+benchmark's rounds do, so every request meets a fresh ABox with its derived
+state cold.  It prints, per semantics, the median ms over the 50 instances.
+
+The script re-runs itself under PYTHONHASHSEED=0, as the benchmark does.
+The join order no longer depends on the hash seed, but set order still
+decides which of `perfect_ref`'s rewritings `certain` and `qib` try first,
+and so how soon they find a witness.  Standard library only, and it writes
+nothing into the checkout.
 """
 
 from __future__ import annotations
@@ -29,20 +41,17 @@ SEED = 1
 CALLS = 200
 
 
+def elapsed_ms(call) -> float:
+    start = time.perf_counter()
+    call()
+    return (time.perf_counter() - start) * 1000
+
+
 def median_ms(call) -> float:
-    times = []
-    for _ in range(CALLS):
-        start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times) * 1000
+    return statistics.median(elapsed_ms(call) for _ in range(CALLS))
 
 
-def main() -> None:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-    sys.dont_write_bytecode = True  # leave no cache files in the checkout
-    import workloads
-
+def supplier(workloads) -> None:
     cq = workloads.cq
     w = workloads.Supplier(SEED, fault=False)
     w.adopt(w.load(w.texts(0)))
@@ -57,6 +66,50 @@ def main() -> None:
         calls = [partial(workloads.answer, s, w.tbox, w.policy, w.abox, q) for s in semantics]
         calls += [partial(cq.qib_rewrite_report, q, w.tbox, w.policy), partial(cq.eval_fo, node, w.abox)]
         print(f"{qid:<24}" + "".join(f"{median_ms(call):>16.3f}" for call in calls))
+
+
+def censor(workloads) -> None:
+    cq = workloads.cq
+    w = workloads.Censor(SEED, fault=False)
+    columns = ["certain", "qib", "qib-fo compile", "qib-fo eval", "ib"]
+
+    def one_round(suffix: str) -> dict[str, list[float]]:
+        names = {c: n + suffix for c, n in w.letters.items()}
+        times: dict[str, list[float]] = {c: [] for c in columns}
+        for t, p, a, q in w.smalls:
+            p = cq.Policy(frozenset(cq.Denial(workloads.renamed(d.body, names)) for d in p.denials))
+            a = cq.ABox(workloads.renamed(a.atoms, names))
+            q = cq.ConjunctiveQuery(workloads.renamed(q.atoms, names))
+            compiled = []
+            calls = {
+                "certain": partial(workloads.answer, "certain", t, p, a, q),
+                "qib": partial(workloads.answer, "qib", t, p, a, q),
+                "qib-fo compile": lambda: compiled.append(cq.qib_rewrite_report(q, t, p)[0]),
+                "qib-fo eval": lambda: cq.eval_fo(compiled[0], a),
+                "ib": partial(workloads.answer, "ib", t, p, a, q),
+            }
+            for c in columns:
+                times[c].append(elapsed_ms(calls[c]))
+        return times
+
+    one_round("w")
+    times = one_round("t")
+    print(f"censor seed {SEED}: median ms over the {len(w.smalls)} small instances of one round")
+    print("".join(f"{c:>16}" for c in columns))
+    print("".join(f"{statistics.median(times[c]):>16.3f}" for c in columns))
+
+
+def main() -> None:
+    modes = {"supplier": supplier, "censor": censor}
+    mode = sys.argv[1] if len(sys.argv) > 1 else "supplier"
+    if mode not in modes or len(sys.argv) > 2:
+        sys.exit(f"usage: {sys.argv[0]} [{'|'.join(modes)}]")
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    sys.dont_write_bytecode = True  # leave no cache files in the checkout
+    import workloads
+
+    modes[mode](workloads)
+
 
 if __name__ == "__main__":
     if os.environ.get("PYTHONHASHSEED") != "0":
