@@ -20,6 +20,13 @@ so in `qib_rewrite` a witness of `atom_rewr` may reuse a name that a repair
 guard binds.  That is safe: the witness is bound around one atom only, and
 it skips a name equal to that atom's own term.
 
+The composed sentence depends on the query, the TBox and the policy but
+never on the data, so `qib_rewrite_report` compiles it once per (query,
+TBox, policy) into a bounded cache of 1024 entries, and `qib_rewrite` reads
+the same cache.  `eval_fo` keeps the free variables of the node it is handed
+on that node, so a cached sentence is checked to be a sentence by one walk,
+not one per evaluation.
+
 The repair guards deserve a note.  An atom is unsafe iff it lies in some
 *minimal* violating subset, and a naive "some rewritten denial body matches
 through this atom" test overshoots: a match that collapses two pattern
@@ -269,8 +276,18 @@ class _Evaluator:
 
 def eval_fo(q: FONode, abox: ABox) -> bool:
     """Truth of a sentence in the finite structure given by the ABox, with
-    quantifiers ranging over the constants that occur in it."""
-    free = free_variables(q)
+    quantifiers ranging over the constants that occur in it.
+
+    Every call checks that `q` is a sentence.  The free variables of `q`
+    are kept in the node's `__dict__`, which leaves the frozen dataclass's
+    eq, hash and repr alone (the idiom of `reasoner.memo_on_abox`), so a
+    sentence that is evaluated again, such as one from `qib_rewrite`'s
+    cache, is walked once.  Only the node passed in keeps them, not its
+    subtrees."""
+    try:
+        free = q.__dict__["_free_variables"]
+    except KeyError:
+        free = q.__dict__["_free_variables"] = free_variables(q)
     if free:
         names = ", ".join(sorted(t.name for t in free))
         raise UnboundVariableError(f"not a sentence; free variables: {names}")
@@ -514,8 +531,9 @@ def iar_rewrite(q: ConjunctiveQuery, tbox: TBox, policy: Policy) -> FONode:
 
 def qib_rewrite(q: ConjunctiveQuery, tbox: TBox, policy: Policy) -> FONode:
     """Repair-aware reformulation composed with subsumption expansion, so the
-    result can be evaluated directly over raw, unclosed data."""
-    return atom_rewr(iar_rewrite(q, tbox, policy), tbox)
+    result can be evaluated directly over raw, unclosed data.  It reads
+    `qib_rewrite_report`'s cache."""
+    return qib_rewrite_report(q, tbox, policy)[0]
 
 
 @dataclass(frozen=True)
@@ -528,10 +546,13 @@ class RewritingReport:
     node_count: int
 
 
+@lru_cache(maxsize=1024)
 def qib_rewrite_report(
     q: ConjunctiveQuery, tbox: TBox, policy: Policy
 ) -> tuple[FONode, RewritingReport]:
-    """`qib_rewrite` plus size accounting for the reformulation."""
+    """`qib_rewrite` plus size accounting for the reformulation.  Neither
+    depends on any ABox, so the pair is compiled once per (query, TBox,
+    policy) and kept in a bounded cache, as `_conflict_patterns` is."""
     from .parser import serialize_query
 
     iar_node, pr_size, guard_count = _build_iar(q, tbox, policy)

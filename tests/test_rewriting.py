@@ -24,7 +24,19 @@ from cqelite import (
     serialize_fo,
     var,
 )
-from cqelite.model import And, AtomNode, Eq, Exists, Not, Or, TRUE, Truth, cq_to_fo, node_count
+from cqelite.model import (
+    And,
+    AtomNode,
+    Eq,
+    Exists,
+    Not,
+    Or,
+    TRUE,
+    Truth,
+    cq_to_fo,
+    free_variables,
+    node_count,
+)
 from cqelite import reasoner, rewriting
 from cqelite.rewriting import _Evaluator
 from cqelite.gen import random_bcq, random_fo_sentence, random_instance
@@ -81,6 +93,39 @@ def test_eval_fo_vacuous_quantifier_needs_nonempty_domain():
 def test_eval_fo_rejects_open_formulas():
     with pytest.raises(UnboundVariableError):
         eval_fo(A("A", X), parse_abox("A(a)"))
+    # the same node is rejected again, not only on its first evaluation
+    node = Exists(X, And((A("R", X, Y), Not(A("B", X)))))
+    for _ in range(2):
+        with pytest.raises(UnboundVariableError, match="free variables: Y"):
+            eval_fo(node, parse_abox("R(a,b)"))
+
+
+def test_eval_fo_walks_a_sentence_once(monkeypatch):
+    node = Exists(X, And((A("A", X), Not(A("B", X)))))
+    walked = []
+
+    def counting(n):
+        walked.append(n)
+        return free_variables(n)
+
+    monkeypatch.setattr(rewriting, "free_variables", counting)
+    a = parse_abox("A(a)\nB(b)")
+    assert [eval_fo(node, a), eval_fo(node, a), eval_fo(node, parse_abox("B(a)"))] == [True, True, False]
+    assert [n for n in walked if n is node] == [node]
+
+
+def test_eval_fo_memo_leaves_the_node_value_alone():
+    def build():
+        return Exists(X, Or((A("ProjA", X), And((A("ProjB", X), Not(Eq(X, const("c"))))))))
+
+    node, twin = build(), build()
+    before = (hash(node), repr(node), serialize_fo(node))
+    assert eval_fo(node, parse_abox("ProjB(d)"))
+    assert node == twin and twin == node
+    assert (hash(node), repr(node), serialize_fo(node)) == before
+    assert (hash(twin), repr(twin), serialize_fo(twin)) == before
+    # only the node handed to eval_fo keeps the memo, not its subtrees
+    assert vars(node.body).keys() == {"children"}
 
 
 def naive_truth(node, abox, binding):
@@ -459,3 +504,70 @@ def test_serialization_is_deterministic(supplier_tbox, supplier_policy):
     first = serialize_fo(qib_rewrite(q("Supplier(X)"), supplier_tbox, supplier_policy))
     second = serialize_fo(qib_rewrite(q("Supplier(X)"), supplier_tbox, supplier_policy))
     assert first == second
+
+
+# --- the compile cache ------------------------------------------------------------
+
+
+def test_qib_rewrite_reads_the_report_cache(supplier_tbox, supplier_policy):
+    query = q("Supplier(X), ProjB(X)")
+    assert qib_rewrite(query, supplier_tbox, supplier_policy) is qib_rewrite_report(
+        query, supplier_tbox, supplier_policy
+    )[0]
+
+
+def test_compile_cache_is_bounded_and_counts_hits(supplier_tbox, supplier_policy):
+    query = q("ProjA(X)")
+    qib_rewrite_report(query, supplier_tbox, supplier_policy)
+    info = qib_rewrite_report.cache_info()
+    assert info.maxsize == 1024
+    qib_rewrite_report(query, supplier_tbox, supplier_policy)
+    again = qib_rewrite_report.cache_info()
+    assert (again.hits, again.misses) == (info.hits + 1, info.misses)
+
+
+def test_a_fresh_compile_gives_the_same_sentence_and_report(supplier_tbox, supplier_policy):
+    query = q("Supplier(X), ProjA(X)")
+    cached_node, cached_report = qib_rewrite_report(query, supplier_tbox, supplier_policy)
+    qib_rewrite_report.cache_clear()
+    node, report = qib_rewrite_report(query, supplier_tbox, supplier_policy)
+    assert node is not cached_node
+    assert serialize_fo(node).encode() == serialize_fo(cached_node).encode()
+    assert report == cached_report
+
+
+def test_iar_rewrite_is_not_cached(supplier_tbox, supplier_policy):
+    query = q("Supplier(X)")
+    info = qib_rewrite_report.cache_info()
+    first = iar_rewrite(query, supplier_tbox, supplier_policy)
+    second = iar_rewrite(query, supplier_tbox, supplier_policy)
+    assert first == second and first is not second
+    assert qib_rewrite_report.cache_info() == info
+
+
+def test_cached_sentences_agree_with_qib_on_distinct_aboxes():
+    # a memo that leaked from one ABox to another would show up as a
+    # verdict that disagrees with qib_entail on the copy or the sub-ABox
+    rng = random.Random(40_000)
+    cases = []
+    for seed in range(40_000, 40_060):
+        t, p, a = random_instance(seed, n_atoms=8, n_consts=3)
+        cases.append((t, p, a, random_bcq(rng, t)))
+
+    def one_pass(aboxes):
+        return [
+            (eval_fo(qib_rewrite(query, t, p), a), qib_entail(t, p, a, query))
+            for (t, p, _, query), a in zip(cases, aboxes)
+        ]
+
+    originals = [a for _, _, a, _ in cases]
+    first = one_pass(originals)
+    assert all(fo == semantic for fo, semantic in first)
+    twins = [ABox(a.atoms) for a in originals]
+    assert all(twin == a and twin is not a for twin, a in zip(twins, originals))
+    info = qib_rewrite_report.cache_info()
+    assert one_pass(twins) == first
+    after = qib_rewrite_report.cache_info()
+    assert (after.hits, after.misses) == (info.hits + len(cases), info.misses)
+    smaller = one_pass([ABox.of(a.sorted_atoms()[1:]) for a in originals])
+    assert all(fo == semantic for fo, semantic in smaller)
