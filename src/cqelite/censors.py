@@ -21,9 +21,14 @@ enumerating them all.  `enumerate_optimal_ga_censors` still runs the full
 consistency and policy checks on candidate subsets, which makes the
 enumeration an independent oracle for the greedy censor and for `ib`.
 
-The secrets, the repair and the enumerated censors are memoized on the
-ABox value, with its closure, so every semantics and censor asked of one
-ABox shares them."""
+The secrets are images in the closure's row store (`closure_rows`), and
+the repair is first a row store too: `repair_rows` is the closure's store
+minus the rows of the atoms in some secret, and `qib_entail` reads it, so a
+`qib` verdict builds no closure or repair atoms.  `iar_repair` builds the
+repair's atoms on demand, for callers that read the repair itself.  The
+secrets, the repair and the enumerated censors are memoized on the ABox
+value, with its closure, so every semantics and censor asked of one ABox
+shares them."""
 
 from __future__ import annotations
 
@@ -41,10 +46,12 @@ from .model import (
     atom_order_key,
 )
 from .reasoner import (
+    _Relations,
     _abox_relations,
     _entailed_unchecked,
     _images,
     abox_closure,
+    closure_rows,
     cq_entailed,
     denial_query,
     is_consistent,
@@ -244,7 +251,7 @@ def _counter_censor(
     searched, and the others are completed greedily."""
     closure = _guarded_closure(tbox, abox, limit)
     by_atom = _by_atom(secrets(tbox, policy, abox))
-    rel = _abox_relations(closure)
+    rel = closure_rows(tbox, abox)
     parts: set[frozenset[Atom]] = set()
     for rewritten in perfect_ref(q, tbox):
         for image in _images(rewritten, rel):
@@ -322,8 +329,7 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
     image's proper subsets decides.  Only the subsets of a size that some
     image has are looked up, so an image of the least size, which can hold
     no other, needs no lookup at all."""
-    closure = abox_closure(tbox, abox)
-    rel = _abox_relations(closure)
+    rel = closure_rows(tbox, abox)
     images: set[frozenset[Atom]] = set()
     for d in policy.denials:
         for rewritten in perfect_ref(denial_query(d), tbox):
@@ -342,26 +348,38 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
 
 
 @memo_on_abox
+def repair_rows(tbox: TBox, policy: Policy, abox: ABox) -> _Relations:
+    """The rows of the closure minus every atom that occurs in some secret,
+    as a row store: the closure's store without the hidden rows, one set
+    difference per hidden predicate, and every other group read from the
+    closure's.  With no secret this is the closure's store itself."""
+    rel = closure_rows(tbox, abox)
+    hidden = frozenset().union(*secrets(tbox, policy, abox))
+    return rel.minus(hidden) if hidden else rel
+
+
+@memo_on_abox
 def iar_repair(tbox: TBox, policy: Policy, abox: ABox) -> ABox:
     """The closure minus every atom that occurs in some secret; equals the
-    intersection of all maximal policy-consistent subsets.  With no secret
-    this is the closure itself, which then shares its derived state.  The
-    repair's row sets are the closure's without the hidden rows, handed to
-    its `_abox_relations` instead of being grouped again."""
+    intersection of all maximal policy-consistent subsets: `repair_rows`
+    materialized, for callers that read the repair itself.  With no
+    secret this is the closure itself, which then shares its derived state;
+    otherwise the repair's row store is handed to its `_abox_relations`
+    instead of grouping its atoms again."""
     closure = abox_closure(tbox, abox)
     hidden = frozenset().union(*secrets(tbox, policy, abox))
     if not hidden:
         return closure
     repair = ABox(closure.atoms - hidden)
-    _abox_relations.put(repair, _abox_relations(closure).minus(hidden))
+    _abox_relations.put(repair, repair_rows(tbox, policy, abox))
     return repair
 
 
 def qib_entail(tbox: TBox, policy: Policy, abox: ABox, q: ConjunctiveQuery) -> bool:
-    """Entailment under the quasi-optimal censor: query the repair.  The
-    repair is a subset of the closure, which `secrets` found consistent, so
-    it needs no consistency check of its own."""
-    return _entailed_unchecked(tbox, iar_repair(tbox, policy, abox), q)
+    """Entailment under the quasi-optimal censor: query the repair's rows.
+    The repair is a subset of the closure, which `closure_rows` found
+    consistent, so it needs no consistency check of its own."""
+    return _entailed_unchecked(tbox, repair_rows(tbox, policy, abox), q)
 
 
 def qib_entail_bruteforce(
@@ -381,6 +399,6 @@ def qib_entail_bruteforce(
         if mask & forbidden:
             continue
         subset = frozenset(a for i, a in enumerate(atoms) if mask >> i & 1)
-        if _entailed_unchecked(tbox, ABox(subset), q):
+        if _entailed_unchecked(tbox, _abox_relations(ABox(subset)), q):
             return True
     return False

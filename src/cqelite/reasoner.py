@@ -10,11 +10,12 @@ entailment.  It reads each atom as the expressions it asserts, and the
 TBox's own positive inclusions one step at a time (`_one_step`), not the
 closure's maps: those pair every unsatisfiable expression with every
 expression, so reading them would change the rewriting sets.
-`abox_closure` materializes every entailed ground atom over the data
-constants; `is_consistent` reads the disjointness pairs of the TBox closure
-off the data's asserted expressions, with no rewriting.  `chase_bounded`
-builds a truncated canonical model and serves as an independent entailment
-oracle for validating the rewriting.
+`closure_rows` derives the rows of every entailed ground atom over the
+data constants, and `abox_closure` builds atoms of them only where an
+output needs them; `is_consistent` reads the disjointness pairs of the TBox
+closure off the data's asserted expressions, with no rewriting.
+`chase_bounded` builds a truncated canonical model and serves as an
+independent entailment oracle for validating the rewriting.
 
 One plan orders every conjunctive query match over whole row sets:
 `_plan` takes the atoms' rows (`_atom_rows`) smallest first, one
@@ -29,20 +30,32 @@ minimality check in `rewriting`, and for the other conjunctions of
 `eval_fo`.
 
 One rule table on the TBox closure, `InclusionClosure.fact_rules`, derives
-the entailed atoms for both `abox_closure` and `chase_bounded`: for each
+the entailed facts for both `closure_rows` and `chase_bounded`: for each
 (predicate, arity) the facts it entails, as a name and a pick of columns.
 The closure applies each rule to all the rows of its predicate at once.
 
-What is derived from an ABox (its closure, consistency, policy consistency
-and stored row sets, and the secrets and repair in `censors`) is memoized
-on the ABox value itself by `memo_on_abox`, so it is computed once per
-value and dies with it.  The closure and the repair inherit their row sets
-(`memo_on_abox`'s `put`): the ABox's grouped rows plus the derived ones,
-and the closure's minus the hidden ones, so neither groups its atoms again.
+Derived state is row sets first.  A row store (`_Relations`) holds one set
+per (predicate, arity), hashed on first read; the closure's store
+(`closure_rows`) holds the groups it derives and reads every other group
+from the ABox's store (`_abox_relations`), and the repair's store
+(`censors.repair_rows`) holds the groups that lose hidden rows and reads
+the rest from the closure's.  Verdicts read these stores, and no closure
+or repair atom is built for them: `cq_entailed` matches the rewritings on
+the ABox's rows and `qib_entail` on the repair's, through one helper.  The
+`ABox` values `abox_closure` and `censors.iar_repair` are built on demand,
+for callers that read atoms (the command line, the censors, the oracles
+and the tests), and inherit those stores (`memo_on_abox`'s `put`), so
+neither groups its atoms again.
+
+What is derived from an ABox (its row stores, closure, consistency, policy
+consistency, and the secrets and repair in `censors`) is memoized on the
+ABox value itself by `memo_on_abox`, so it is computed once per value and
+dies with it.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, wraps
 from itertools import chain, product, repeat
@@ -302,36 +315,53 @@ class _Relations:
     the chase's plain pairs.  `groups` maps each (predicate, arity) to its
     rows, a collection that may repeat a row until `row_set` makes the set
     of it on first use, so a store read for a few predicates only hashes
-    their rows.  The groups are never changed in place, so a derived store
-    (`of_groups`, `minus`) shares the ones it does not change."""
+    their rows.  A store derived from another (`closure_rows`, `minus`)
+    holds only the groups it changes and reads every other group from its
+    `base`, so the two share that group's one set, frozen by whichever
+    reads it first."""
 
-    def __init__(self, facts: Iterable[tuple[str, tuple]] = ()):
+    def __init__(
+        self, facts: Iterable[tuple[str, tuple]] = (), base: Optional[_Relations] = None
+    ):
+        self.base = base
         self.groups: dict[tuple[str, int], Collection[tuple]] = {}
+        # group by predicate, and split a group by arity only when its rows
+        # have mixed lengths: a tuple key per fact costs more than the split
+        by_pred: dict[str, list[tuple]] = defaultdict(list)
         for pred, args in facts:
-            self.groups.setdefault((pred, len(args)), []).append(args)
-
-    @classmethod
-    def of_groups(cls, groups: dict[tuple[str, int], Collection[tuple]]) -> _Relations:
-        rel = cls()
-        rel.groups = groups
-        return rel
+            by_pred[pred].append(args)
+        for pred, rows in by_pred.items():
+            arities = set(map(len, rows))
+            if len(arities) == 1:
+                self.groups[(pred, arities.pop())] = rows
+            else:
+                for args in rows:
+                    self.groups.setdefault((pred, len(args)), []).append(args)
 
     def row_set(self, pred: str, arity: int) -> frozenset[tuple]:
         # a key the store does not hold reads as empty and is not added,
-        # since `abox_closure` applies the rules of every group
+        # since `closure_rows` applies the rules of every group
         key = (pred, arity)
-        rows = self.groups.get(key, frozenset())
+        rows = self.groups.get(key)
+        if rows is None:
+            return frozenset() if self.base is None else self.base.row_set(pred, arity)
         if type(rows) is not frozenset:
             rows = self.groups[key] = frozenset(rows)
         return rows
 
+    def all_groups(self) -> dict[tuple[str, int], Collection[tuple]]:
+        """Every group of the store, its own over its base's."""
+        if self.base is None:
+            return self.groups
+        return {**self.base.all_groups(), **self.groups}
+
     def minus(self, facts: Iterable[tuple[str, tuple]]) -> _Relations:
         """The rows of this store without `facts`, which it holds: one set
         difference for each predicate of `facts`."""
-        groups = dict(self.groups)
+        out = _Relations(base=self)
         for (pred, arity), rows in _Relations(facts).groups.items():
-            groups[(pred, arity)] = self.row_set(pred, arity).difference(rows)
-        return _Relations.of_groups(groups)
+            out.groups[(pred, arity)] = self.row_set(pred, arity).difference(rows)
+        return out
 
 
 def _atom_rows(atom: Atom, rel: _Relations) -> _Rows:
@@ -589,11 +619,16 @@ def _abox_relations(abox: ABox) -> _Relations:
     return _Relations(abox.atoms)
 
 
+def _matches(q: ConjunctiveQuery, rel: _Relations) -> bool:
+    """True iff some homomorphism maps the query atoms into the rows of
+    `rel` (variables to its values, constants fixed)."""
+    return _satisfiable(_atom_rows(a, rel) for a in q.atoms)
+
+
 def eval_cq(q: ConjunctiveQuery, abox: ABox) -> bool:
     """True iff some homomorphism maps the query atoms into the ABox
     (variables to constants, constants fixed)."""
-    rel = _abox_relations(abox)
-    return _satisfiable(_atom_rows(a, rel) for a in q.atoms)
+    return _matches(q, _abox_relations(abox))
 
 
 # --- query rewriting ----------------------------------------------------------
@@ -717,8 +752,11 @@ def perfect_ref(q: ConjunctiveQuery, tbox: TBox) -> frozenset[ConjunctiveQuery]:
     return frozenset(seen)
 
 
-def _entailed_unchecked(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:
-    return any(eval_cq(r, abox) for r in perfect_ref(q, tbox))
+def _entailed_unchecked(tbox: TBox, rel: _Relations, q: ConjunctiveQuery) -> bool:
+    """True iff some `perfect_ref` rewriting of `q` matches the rows of
+    `rel`: certain entailment over the raw rows of a consistent ABox, and
+    `qib` over the rows of its repair."""
+    return any(_matches(r, rel) for r in perfect_ref(q, tbox))
 
 
 # --- consistency --------------------------------------------------------------
@@ -768,7 +806,7 @@ def _require_consistent(tbox: TBox, abox: ABox) -> None:
 def cq_entailed(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:
     """Certain-answer entailment of a Boolean conjunctive query."""
     _require_consistent(tbox, abox)
-    return _entailed_unchecked(tbox, abox, q)
+    return _entailed_unchecked(tbox, _abox_relations(abox), q)
 
 
 def denial_query(denial) -> ConjunctiveQuery:
@@ -779,42 +817,60 @@ def denial_query(denial) -> ConjunctiveQuery:
 def is_policy_consistent(tbox: TBox, policy: Policy, abox: ABox) -> bool:
     """True iff no denial body is entailed by the TBox and ABox."""
     _require_consistent(tbox, abox)
-    return not any(
-        _entailed_unchecked(tbox, abox, denial_query(d)) for d in policy.denials
-    )
+    rel = _abox_relations(abox)
+    return not any(_entailed_unchecked(tbox, rel, denial_query(d)) for d in policy.denials)
 
 
 @memo_on_abox
-def abox_closure(tbox: TBox, abox: ABox) -> ABox:
-    """All ground atoms over the data constants entailed by TBox + ABox.
+def closure_rows(tbox: TBox, abox: ABox) -> _Relations:
+    """The rows of every ground atom over the data constants entailed by
+    TBox + ABox, as a row store: no `Atom` and no `ABox` is built.
     Existential axioms only introduce anonymous individuals, so no new
-    constants can appear.  When nothing is added this is `abox` itself,
-    which then shares its derived state with its closure.
+    constants can appear.
 
-    The atoms are derived a predicate at a time: each fact rule of the TBox
+    The rows are derived a predicate at a time: each fact rule of the TBox
     closure (`InclusionClosure.fact_rules`) maps all the rows of its
-    predicate at once, and validates its predicate name once.  The
-    closure's rows, grouped by predicate, are the ABox's groups plus the
-    derived rows, so they are handed to the closure's `_abox_relations`
-    instead of being grouped again."""
+    predicate at once, and validates its predicate name once.  The store
+    holds each derived group, the ABox's rows of that predicate plus the
+    derived ones, and reads every other group from the ABox's store.  When
+    no rule applies it is the ABox's store itself."""
     _require_consistent(tbox, abox)
     rules = saturate_tbox(tbox).fact_rules
-    groups = _abox_relations(abox).groups
+    raw = _abox_relations(abox)
+    groups = raw.all_groups()
     derived: dict[tuple[str, int], list[tuple]] = {}
     for key, rows in groups.items():
         for name, arity, pick in rules.get(key, ()):
             check_predicate(name)
             derived.setdefault((name, arity), []).extend(map(pick, rows))
+    if not derived:
+        return raw
+    closure = _Relations(base=raw)
+    for key, rows in derived.items():
+        closure.groups[key] = [*groups.get(key, ()), *rows]
+    return closure
+
+
+@memo_on_abox
+def abox_closure(tbox: TBox, abox: ABox) -> ABox:
+    """All ground atoms over the data constants entailed by TBox + ABox:
+    `closure_rows` materialized, for the output, the censors and the
+    oracles.  Only the rows the closure adds become new atoms.  When it adds
+    none this is `abox` itself, which then shares its derived state with
+    its closure; otherwise the closure's row store is handed to its
+    `_abox_relations` instead of grouping its atoms again."""
+    rel = closure_rows(tbox, abox)
+    raw = _abox_relations(abox)
+    if rel is raw:
+        return abox
     out = set(abox.atoms)
-    for (name, _), rows in derived.items():
-        out.update(map(unchecked_atom, zip(repeat(name), rows)))
+    for name, arity in rel.groups:
+        added = rel.row_set(name, arity).difference(raw.row_set(name, arity))
+        out.update(map(unchecked_atom, zip(repeat(name), added)))
     if len(out) == len(abox.atoms):
         return abox
     closure = ABox(frozenset(out))
-    closure_groups = dict(groups)
-    for key, rows in derived.items():
-        closure_groups[key] = [*groups.get(key, ()), *rows]
-    _abox_relations.put(closure, _Relations.of_groups(closure_groups))
+    _abox_relations.put(closure, rel)
     return closure
 
 
@@ -908,8 +964,7 @@ def chase_bounded(tbox: TBox, abox: ABox, depth: int) -> ChaseStructure:
 
 def chase_satisfies(chase: ChaseStructure, q: ConjunctiveQuery) -> bool:
     """Homomorphism check into a chase structure; variables may map to nulls."""
-    rel = _Relations(chase.atoms)
-    return _satisfiable(_atom_rows(a, rel) for a in q.atoms)
+    return _matches(q, _Relations(chase.atoms))
 
 
 def chase_entails(tbox: TBox, abox: ABox, q: ConjunctiveQuery) -> bool:

@@ -8,12 +8,21 @@ import pickle
 import random
 import weakref
 
+import pytest
+
 from cqelite import (
     ABox,
+    Atom,
+    ConceptInclusion,
+    ConjunctiveQuery,
     InconsistentOntologyError,
     SizeGuardError,
+    TBox,
     abox_closure,
+    atomic,
+    const,
     cq_entailed,
+    eval_cq,
     eval_fo,
     iar_repair,
     ib_entail,
@@ -24,13 +33,17 @@ from cqelite import (
     parse_policy,
     parse_tbox,
     qib_entail,
+    qib_entail_bruteforce,
     qib_rewrite,
     secrets,
+    var,
 )
+from cqelite.censors import repair_rows
 from cqelite.gen import random_bcq, random_instance
-from cqelite.reasoner import _Relations, _abox_relations
+from cqelite.reasoner import _Relations, _abox_relations, closure_rows
 
 from conftest import q
+from test_reasoner import closure_by_atoms
 
 SUPPLIER_TBOX = "ProjA [= Supplier\nProjB [= Supplier"
 SUPPLIER_POLICY = "denial :- ProjA(X), ProjB(X)"
@@ -167,3 +180,148 @@ def test_one_abox_under_other_tboxes_and_policies_answers_as_fresh_values():
             assert shared == _answers(t, p, ABox(a.atoms), queries[t]), seed
             asked += "InconsistentOntologyError" not in shared
     assert asked > 100
+
+
+def test_closure_shares_the_row_sets_it_did_not_derive():
+    t = parse_tbox(SUPPLIER_TBOX)
+    a = parse_abox("ProjA(c)\nProjB(c)\nProjB(d)\nSupplier(e)")
+    raw, closure = _abox_relations(a), closure_rows(t, a)
+    # nothing is frozen before it is read
+    assert all(type(rows) is list for rows in raw.groups.values())
+    # one set per group, whichever store reads it first
+    assert raw.row_set("ProjA", 1) is closure.row_set("ProjA", 1)
+    assert closure.row_set("ProjB", 1) is raw.row_set("ProjB", 1)
+    assert type(raw.groups[("Supplier", 1)]) is list
+    assert closure.row_set("Supplier", 1) == {(const(x),) for x in "cde"}
+    assert raw.row_set("Supplier", 1) == {(const("e"),)}
+    # the repair reads the closure's sets of the groups it does not change
+    p = parse_policy(SUPPLIER_POLICY)
+    repair = repair_rows(t, p, a)
+    assert repair.row_set("Supplier", 1) is closure.row_set("Supplier", 1)
+    assert repair.row_set("ProjB", 1) == {(const("d"),)}
+
+
+def test_rows_of_one_name_are_split_by_arity():
+    c, d = const("c"), const("d")
+    a = ABox.of([Atom("A", (c,)), Atom("A", (c, d)), Atom("A", (d, d)), Atom("B", (d,))])
+    rel = _Relations(a.atoms)
+    assert sorted(rel.groups) == [("A", 1), ("A", 2), ("B", 1)]
+    assert rel.row_set("A", 1) == {(c,)}
+    assert rel.row_set("A", 2) == {(c, d), (d, d)}
+    assert rel.row_set("B", 1) == {(d,)} and rel.row_set("B", 2) == frozenset()
+    smaller = rel.minus([Atom("A", (c, d))])
+    assert smaller.row_set("A", 2) == {(d, d)} and smaller.row_set("A", 1) == {(c,)}
+    x, y = var("X"), var("Y")
+    bodies = ([Atom("A", (x,)), Atom("A", (x, y))], [Atom("A", (x,)), Atom("A", (y, x))])
+    assert [eval_cq(ConjunctiveQuery(frozenset(b)), a) for b in bodies] == [True, False]
+
+
+def _keys(*stores) -> set:
+    return {key for rel in stores for key in rel.all_groups()}
+
+
+def test_row_stores_match_the_atom_path_on_randoms():
+    """`closure_rows` against the atom-by-atom reference, and `repair_rows`
+    against the materialized repair, on the instances of criterion 4."""
+    consistent = 0
+    for seed in range(40_000, 40_300):
+        t, p, a = random_instance(seed, n_atoms=8, n_consts=3)
+        if not is_consistent(t, a):
+            with pytest.raises(InconsistentOntologyError):
+                closure_rows(t, a)
+            continue
+        consistent += 1
+        closure, reference = closure_rows(t, a), _Relations(closure_by_atoms(t, a))
+        for key in sorted(_keys(closure, reference) | {("Absent", 1)}):
+            assert closure.row_set(*key) == reference.row_set(*key), (seed, key)
+        repair, atoms = repair_rows(t, p, a), _Relations(iar_repair(t, p, a).atoms)
+        for key in sorted(_keys(repair, atoms, closure)):
+            assert repair.row_set(*key) == atoms.row_set(*key), (seed, key)
+    assert consistent > 200
+
+
+def test_qib_on_the_repair_rows_matches_the_bruteforce_oracle():
+    rng = random.Random(40_000)
+    checked = 0
+    for seed in range(40_000, 40_300):
+        t, p, a = random_instance(seed, n_atoms=8, n_consts=3)
+        query = random_bcq(rng, t)
+        if not is_consistent(t, a):
+            continue
+        try:
+            brute = qib_entail_bruteforce(t, p, a, query)
+        except SizeGuardError:
+            continue
+        assert qib_entail(t, p, a, query) == brute, seed
+        checked += 1
+    assert checked > 150
+
+
+def test_qib_matches_the_closed_form_over_supplier_revisions():
+    """A supplier ABox revised 15 times: after each revision, a fresh ABox
+    value, `qib` holds of a constant exactly what its kind keeps in the
+    repair, and the repair's rows are exactly those."""
+    kinds = {"a": ("ProjA",), "b": ("ProjB",), "ab": ("ProjA", "ProjB"), "s": ("Supplier",)}
+    closed = {
+        "a": {"ProjA", "Supplier"},
+        "b": {"ProjB", "Supplier"},
+        "ab": {"Supplier"},
+        "s": {"Supplier"},
+    }
+    t, p = parse_tbox(SUPPLIER_TBOX), parse_policy(SUPPLIER_POLICY)
+    rng = random.Random(22)
+    kind = {f"c{i}": rng.choice(sorted(kinds)) for i in range(24)}
+
+    def atoms_of(c):
+        return {Atom(pred, (const(c),)) for pred in kinds[kind[c]]}
+
+    a = ABox.of(x for c in kind for x in atoms_of(c))
+    fresh = len(kind)
+    for _ in range(15):
+        gone = rng.sample(sorted(kind), 4)
+        deleted = {x for c in gone for x in atoms_of(c)}
+        for c in gone:
+            del kind[c]
+        for _ in range(4):
+            kind[f"c{fresh}"] = rng.choice(sorted(kinds))
+            fresh += 1
+        inserted = {x for c in kind for x in atoms_of(c)} - a.atoms
+        a = ABox((a.atoms - deleted) | inserted)
+        rel = repair_rows(t, p, a)
+        for pred in ("ProjA", "ProjB", "Supplier"):
+            members = {c for c in kind if pred in closed[kind[c]]}
+            assert rel.row_set(pred, 1) == {(const(c),) for c in members}, pred
+            for c in kind:
+                assert qib_entail(t, p, a, q(f"{pred}({c})")) == (c in members), (pred, c)
+        for pair in (("ProjA", "ProjB"), ("Supplier", "ProjB")):
+            want = any(set(pair) <= closed[k] for k in kind.values())
+            assert qib_entail(t, p, a, q(f"{pair[0]}(X), {pair[1]}(X)")) == want, pair
+
+
+def test_a_qib_verdict_builds_no_atoms():
+    t = parse_tbox(SUPPLIER_TBOX + "\nrole R [= S-\nex S [= Supplier")
+    p = parse_policy(SUPPLIER_POLICY)
+    a = parse_abox("ProjA(c)\nProjB(c)\nProjA(d)\nR(c,d)\nS(e,c)")
+    counted = (abox_closure, iar_repair, secrets)
+    before = [f.cache_info() for f in counted]
+    assert qib_entail(t, p, a, q("Supplier(c)")) and not qib_entail(t, p, a, q("ProjA(c)"))
+    after = [f.cache_info() for f in counted]
+    deltas = [(x.hits - y.hits, x.misses - y.misses) for x, y in zip(after, before)]
+    assert deltas == [(0, 0), (0, 0), (0, 1)]
+    assert "_derived" in vars(a) and all(
+        not isinstance(v, ABox) for v in a.__dict__["_derived"].values()
+    )
+
+
+def test_a_qib_verdict_keeps_its_refusals():
+    t, p = parse_tbox("A [= -B"), parse_policy("denial :- A(X), C(X)")
+    with pytest.raises(InconsistentOntologyError):
+        qib_entail(t, p, parse_abox("A(c)\nB(c)"), q("A(c)"))
+    # a programmatic name is validated when its rule applies, and only then,
+    # with or without a negative inclusion on the rule's predicate
+    bad = ConceptInclusion(atomic("C"), atomic("bad name"))
+    for axioms in ([bad], [ConceptInclusion(atomic("C"), atomic("D"), True), bad]):
+        t = TBox.of(axioms)
+        with pytest.raises(ValueError, match="^bad predicate name: 'bad name'$"):
+            qib_entail(t, p, parse_abox("C(c)"), q("C(c)"))
+        assert qib_entail(t, p, parse_abox("A(c)"), q("A(c)"))

@@ -37,6 +37,7 @@ from cqelite.model import ATOMIC, ConjunctiveQuery, Term
 from cqelite.reasoner import (
     Null,
     _Relations,
+    _abox_relations,
     _canonical_cq,
     _entailed_unchecked,
     ChaseStructure,
@@ -278,7 +279,7 @@ def violated_pairs(tbox: TBox, abox: ABox) -> Iterator[frozenset]:
     return (
         pair
         for pair, body in bodies
-        if _entailed_unchecked(tbox, abox, ConjunctiveQuery(frozenset(body)))
+        if _entailed_unchecked(tbox, _abox_relations(abox), ConjunctiveQuery(frozenset(body)))
     )
 
 

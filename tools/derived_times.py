@@ -6,15 +6,21 @@ Loads the benchmark's `supplier-churn` instance for seed 1
 (`bench/workloads.py`, `SupplierChurn`) from this checkout and applies 15 of
 its revisions.  Each revision makes a fresh ABox value, whose derived state
 starts cold; on each one the script times, once and in this order, the steps
-that the first `qib` request of a round pays for:
+that the first `qib` request of a round pays for, all of them row sets with
+no `Atom` built outside `secrets`:
 
 - `_abox_relations`: the ABox's rows grouped by predicate;
-- `abox_closure`, with its consistency check;
-- the closure's row sets: `_abox_relations` of the closure and the row set
-  of each of its (predicate, arity) pairs;
+- `closure_rows`, with its consistency check;
+- the closure's row sets: the row set of each (predicate, arity) pair of
+  `closure_rows`;
 - `secrets`;
-- `iar_repair`;
-- the repair's row sets, as for the closure.
+- `repair_rows`;
+
+and then the two materializations, which the command line, the censors and
+the oracles read but a `qib` verdict does not:
+
+- `abox_closure`: the closure as an `ABox` of atoms;
+- `iar_repair`: the repair as an `ABox` of atoms.
 
 It prints the median ms of each step over the 15 fresh ABoxes.  Standard
 library only, and it writes nothing into the checkout.
@@ -38,14 +44,14 @@ def elapsed_ms(call) -> float:
     return (time.perf_counter() - start) * 1000
 
 
-def row_sets(reasoner, derive):
-    """A step that reads every row set of the ABox that `derive` gives; the
-    ABox and its (predicate, arity) pairs are found before the timing."""
+def row_sets(rows):
+    """A step that reads every row set of the store that `rows` gives; the
+    store and its (predicate, arity) pairs are found before the timing."""
 
     def step(abox):
-        derived = derive(abox)
-        keys = {(a.predicate, a.arity) for a in derived.atoms}
-        return lambda: [reasoner._abox_relations(derived).row_set(*key) for key in keys]
+        rel = rows(abox)
+        keys = list(rel.all_groups())
+        return lambda: [rel.row_set(*key) for key in keys]
 
     return step
 
@@ -54,22 +60,22 @@ def main() -> None:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     sys.dont_write_bytecode = True  # leave no cache files in the checkout
     import workloads
-    from cqelite import reasoner
+    from cqelite import censors, reasoner
 
     cq = workloads.cq
     w = workloads.SupplierChurn(SEED, fault=False)
     w.adopt(w.load(w.texts(0)))
     t, p = w.tbox, w.policy
-    closure = lambda a: cq.abox_closure(t, a)
-    repair = lambda a: cq.iar_repair(t, p, a)
+    closure = lambda a: reasoner.closure_rows(t, a)
     # each step takes the fresh ABox and returns the call to time
     steps = {
         "_abox_relations": lambda a: lambda: reasoner._abox_relations(a),
-        "abox_closure": lambda a: lambda: closure(a),
-        "closure row sets": row_sets(reasoner, closure),
+        "closure_rows": lambda a: lambda: closure(a),
+        "closure row sets": row_sets(closure),
         "secrets": lambda a: lambda: cq.secrets(t, p, a),
-        "iar_repair": lambda a: lambda: repair(a),
-        "repair row sets": row_sets(reasoner, repair),
+        "repair_rows": lambda a: lambda: censors.repair_rows(t, p, a),
+        "abox_closure": lambda a: lambda: cq.abox_closure(t, a),
+        "iar_repair": lambda a: lambda: cq.iar_repair(t, p, a),
     }
     times: dict[str, list[float]] = {name: [] for name in steps}
     for _ in range(REVISIONS):
