@@ -23,19 +23,27 @@ enumeration an independent oracle for the greedy censor and for `ib`.
 
 The secrets are images in the closure's row store (`closure_rows`), and
 the repair is first a row store too: `repair_rows` is the closure's store
-minus the rows of the atoms in some secret, and `qib_entail` reads it, so a
-`qib` verdict builds no closure or repair atoms.  `iar_repair` builds the
-repair's atoms on demand, for callers that read the repair itself.  The
-secrets, the repair and the enumerated censors are memoized on the ABox
-value, with its closure, so every semantics and censor asked of one ABox
-shares them."""
+minus the rows of the atoms in some secret (`hidden_rows`), and
+`qib_entail` reads it, so a `qib` verdict builds no closure or repair
+atoms.  When every denial rewriting has the same number of atoms, on
+distinct (predicate, arity) pairs, every image is a secret, and the hidden
+rows are projected from the denials' matched rows: such a verdict builds
+no secret image either.  The denial rewritings and that test are cached
+per (TBox, policy) (`_denial_bodies`).  `secrets` builds the images as sets
+of atoms for `opt_ga_censor`, `ib`, `iar_repair`, the other policies'
+hidden rows and the oracles, and `iar_repair` builds the repair's atoms on
+demand, for callers that read the repair itself.  The secrets, the hidden
+rows, the repair and the enumerated censors are memoized on the ABox value,
+with its closure, so every semantics and censor asked of one ABox shares
+them."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .model import (
     ABox,
@@ -46,9 +54,11 @@ from .model import (
     atom_order_key,
 )
 from .reasoner import (
+    _SAME,
     _Relations,
     _abox_relations,
     _entailed_unchecked,
+    _image_rows,
     _images,
     abox_closure,
     closure_rows,
@@ -328,12 +338,13 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
     images with no other image as a proper subset, which a lookup of each
     image's proper subsets decides.  Only the subsets of a size that some
     image has are looked up, so an image of the least size, which can hold
-    no other, needs no lookup at all."""
+    no other, needs no lookup at all.  The images are built as atoms, for
+    the censors, `ib`, `iar_repair` and the oracles; a `qib` verdict under
+    uniform denial rewritings reads `hidden_rows` instead and builds none."""
     rel = closure_rows(tbox, abox)
     images: set[frozenset[Atom]] = set()
-    for d in policy.denials:
-        for rewritten in perfect_ref(denial_query(d), tbox):
-            images.update(_images(rewritten, rel))
+    for rewritten in _denial_bodies(tbox, policy)[0]:
+        images.update(_images(rewritten, rel))
     sizes = sorted(set(map(len, images)))
     return frozenset(
         s
@@ -347,14 +358,55 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
     )
 
 
+@lru_cache(maxsize=1024)
+def _denial_bodies(tbox: TBox, policy: Policy) -> tuple[tuple[ConjunctiveQuery, ...], bool]:
+    """The `perfect_ref` rewritings of the policy's denials, and whether they
+    are uniform: all of the same number of atoms, and no two atoms of one
+    on the same (predicate, arity)."""
+    bodies = tuple(r for d in policy.denials for r in perfect_ref(denial_query(d), tbox))
+    sizes = {len(r.atoms) for r in bodies}
+    uniform = len(sizes) < 2 and all(
+        len({(a.predicate, a.arity) for a in r.atoms}) == len(r.atoms) for r in bodies
+    )
+    return bodies, uniform
+
+
+@memo_on_abox
+def hidden_rows(
+    tbox: TBox, policy: Policy, abox: ABox
+) -> dict[tuple[str, int], Collection[tuple]]:
+    """The rows of the atoms that occur in some secret, grouped by
+    (predicate, arity); empty when there is no secret.
+
+    When the denial rewritings are uniform (`_denial_bodies`), every image
+    has as many atoms as each rewriting, so none holds another and every
+    image is a secret.  The hidden rows of a group are then the union, over
+    the rewritings, of the image rows of their atoms in that group, read
+    from the matched rows (`_image_rows`) with no image built.  Otherwise
+    they are the rows of the atoms of `secrets`."""
+    bodies, uniform = _denial_bodies(tbox, policy)
+    if not uniform:
+        return _Relations(frozenset().union(*secrets(tbox, policy, abox))).groups
+    rel = closure_rows(tbox, abox)
+    parts: dict[tuple[str, int], list[Collection[tuple]]] = {}
+    for body in bodies:
+        picks, rows = _image_rows(body, rel)
+        for a, pick in picks:
+            parts.setdefault((a.predicate, a.arity), []).append(
+                rows if pick is _SAME else set(map(pick, rows))
+            )
+    return {key: sets[0] if len(sets) == 1 else set().union(*sets) for key, sets in parts.items()}
+
+
 @memo_on_abox
 def repair_rows(tbox: TBox, policy: Policy, abox: ABox) -> _Relations:
     """The rows of the closure minus every atom that occurs in some secret,
-    as a row store: the closure's store without the hidden rows, one set
-    difference per hidden predicate, and every other group read from the
-    closure's.  With no secret this is the closure's store itself."""
+    as a row store: the closure's store without `hidden_rows`, one set
+    difference per hidden group, and every other group read from the
+    closure's.  With no secret this is the closure's store itself.  When the
+    denial rewritings are uniform, no secret image is built for it."""
+    hidden = hidden_rows(tbox, policy, abox)
     rel = closure_rows(tbox, abox)
-    hidden = frozenset().union(*secrets(tbox, policy, abox))
     return rel.minus(hidden) if hidden else rel
 
 

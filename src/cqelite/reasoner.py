@@ -24,9 +24,10 @@ step, while images join it in full.  `_satisfiable` joins every part of a
 component but the last (`_join`) and probes the last one for a first
 witness (`_witness`), so it decides `eval_cq`, `chase_satisfies` and the
 `EXISTS` conjunctions of `eval_fo`, whose negated guards it checks on the
-way.  `_components` joins every part (`_bound_rows`), for the images behind
-`censors.secrets` and `ib`'s counter-censor search and behind the pattern
-minimality check in `rewriting`, and for the other conjunctions of
+way.  `_components` joins every part (`_bound_rows`), for the matched rows
+behind `censors.hidden_rows` and the images behind `censors.secrets` and
+`ib`'s counter-censor search (both from `_image_rows`) and behind the
+pattern minimality check in `rewriting`, and for the other conjunctions of
 `eval_fo`.
 
 One rule table on the TBox closure, `InclusionClosure.fact_rules`, derives
@@ -89,6 +90,7 @@ class CacheInfo(NamedTuple):
 
 
 _SELF = object()  # stands for a result that is the ABox itself
+_MISSING = object()  # a key the memo does not hold: looked up, not raised
 
 
 def memo_on_abox(fn):
@@ -97,9 +99,10 @@ def memo_on_abox(fn):
     dataclass's eq, hash and repr alone.  It lives exactly as long as that
     value, and equal but distinct values do not share it.  A result that is
     the ABox itself is stored as a marker, so the memo makes no reference
-    cycle.  `cache_info()` counts hits and misses, as `lru_cache` does, and
-    `put(*keys, abox, value)` stores a result that was found another way,
-    counting neither."""
+    cycle.  A miss is a dictionary lookup, not a raised `KeyError`, since
+    every fresh ABox misses once per derived result.  `cache_info()` counts
+    hits and misses, as `lru_cache` does, and `put(*keys, abox, value)`
+    stores a result that was found another way, counting neither."""
     counts = [0, 0]
 
     def put(*args):
@@ -110,12 +113,15 @@ def memo_on_abox(fn):
     @wraps(fn)
     def memo(*args):
         abox = args[-1]
-        try:
-            result = abox.__dict__["_derived"][(fn, *args[:-1])]
-        except KeyError:
+        store = abox.__dict__.get("_derived")
+        if store is None:
+            store = abox.__dict__["_derived"] = {}
+        key = (fn, *args[:-1])
+        result = store.get(key, _MISSING)
+        if result is _MISSING:
             counts[1] += 1
             result = fn(*args)
-            put(*args, result)
+            store[key] = _SELF if result is abox else result
             return result
         counts[0] += 1
         return abox if result is _SELF else result
@@ -355,12 +361,12 @@ class _Relations:
             return self.groups
         return {**self.base.all_groups(), **self.groups}
 
-    def minus(self, facts: Iterable[tuple[str, tuple]]) -> _Relations:
-        """The rows of this store without `facts`, which it holds: one set
-        difference for each predicate of `facts`."""
+    def minus(self, groups: dict[tuple[str, int], Iterable[tuple]]) -> _Relations:
+        """The rows of this store without the rows of `groups`, grouped by
+        (predicate, arity) as a store's own: one set difference per group."""
         out = _Relations(base=self)
-        for (pred, arity), rows in _Relations(facts).groups.items():
-            out.groups[(pred, arity)] = self.row_set(pred, arity).difference(rows)
+        for key, rows in groups.items():
+            out.groups[key] = self.row_set(*key).difference(rows)
         return out
 
 
@@ -589,28 +595,45 @@ def _bound_rows(atoms: Iterable[Atom], rel: _Relations) -> tuple[list[Term], Ite
     return names, map(tuple, map(chain.from_iterable, product(*(rows for _, rows in components))))
 
 
-def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
-    """The image of `body` under each of its homomorphisms into `rel`.  The
-    body's constants are appended to each bound row, each body atom's
-    columns in that row are found once, and the image atoms are built from
-    the rows in C, unchecked: their predicates are the body's and their
-    args come from `rel`'s rows and the body."""
+def _image_rows(
+    body: ConjunctiveQuery, rel: _Relations
+) -> tuple[list[tuple[Atom, itemgetter]], Collection[tuple]]:
+    """Each atom of `body` with the pick of its args' columns, and one row
+    for each homomorphism of `body` into `rel`: its bound row with the
+    body's constants appended, so that a pick maps the row to the atom's
+    image row.  The rows are a set or a list, and empty when there is no
+    homomorphism.  An atom whose args are the row's columns in order picks
+    the row itself (`_SAME`)."""
     atoms = list(body.atoms)
     names, rows = _bound_rows(atoms, rel)
     consts = tuple(dict.fromkeys(t for a in atoms for t in a.args if t.is_const))
     if consts:
         rows = map(add, rows, repeat(consts))
-    rows = list(rows)
+    if not isinstance(rows, (set, frozenset)):
+        rows = list(rows)
     if not rows:
-        return iter(())
+        return [], rows
     column = {x: i for i, x in enumerate(names + list(consts))}
+    width = len(column)
 
     def pick(a: Atom) -> itemgetter:
         cols = [column[t] for t in a.args]
+        if len(cols) == width and cols == list(range(width)):
+            return _SAME
         # one index would give the value itself, a slice gives the 1-tuple
         return itemgetter(*cols) if len(cols) == 2 else itemgetter(slice(cols[0], cols[0] + 1))
 
-    image_atoms = [map(unchecked_atom, zip(repeat(a.predicate), map(pick(a), rows))) for a in atoms]
+    return [(a, pick(a)) for a in atoms], rows
+
+
+def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
+    """The image of `body` under each of its homomorphisms into `rel`, its
+    atoms built from `_image_rows` in C, unchecked: their predicates are the
+    body's and their args come from `rel`'s rows and the body."""
+    picks, rows = _image_rows(body, rel)
+    image_atoms = [
+        map(unchecked_atom, zip(repeat(a.predicate), map(pick, rows))) for a, pick in picks
+    ]
     return map(frozenset, zip(*image_atoms))
 
 
