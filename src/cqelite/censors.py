@@ -29,7 +29,9 @@ atoms.  When every denial rewriting has the same number of atoms, on
 distinct (predicate, arity) pairs, every image is a secret, and the hidden
 rows are projected from the denials' matched rows: such a verdict builds
 no secret image either.  The denial rewritings and that test are cached
-per (TBox, policy) (`_denial_bodies`).  `secrets` builds the images as sets
+per (TBox, policy) (`_denial_bodies`), and their matched rows are memoized
+on the ABox (`_denial_matches`), so the hidden rows and the secrets of one
+ABox join the denials once.  `secrets` builds the images as sets
 of atoms for `opt_ga_censor`, `ib`, `iar_repair`, the other policies'
 hidden rows and the oracles, and `iar_repair` builds the repair's atoms on
 demand, for callers that read the repair itself.  The secrets, the hidden
@@ -43,6 +45,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Collection, Iterable
 
 from .model import (
@@ -58,6 +61,7 @@ from .reasoner import (
     _Relations,
     _abox_relations,
     _entailed_unchecked,
+    _image_atoms,
     _image_rows,
     _images,
     abox_closure,
@@ -338,13 +342,13 @@ def secrets(tbox: TBox, policy: Policy, abox: ABox) -> frozenset[frozenset[Atom]
     images with no other image as a proper subset, which a lookup of each
     image's proper subsets decides.  Only the subsets of a size that some
     image has are looked up, so an image of the least size, which can hold
-    no other, needs no lookup at all.  The images are built as atoms, for
-    the censors, `ib`, `iar_repair` and the oracles; a `qib` verdict under
-    uniform denial rewritings reads `hidden_rows` instead and builds none."""
-    rel = closure_rows(tbox, abox)
+    no other, needs no lookup at all.  The images are built as atoms from
+    the denials' matched rows (`_denial_matches`), for the censors, `ib`,
+    `iar_repair` and the oracles; a `qib` verdict under uniform denial
+    rewritings reads `hidden_rows` from the same rows and builds none."""
     images: set[frozenset[Atom]] = set()
-    for rewritten in _denial_bodies(tbox, policy)[0]:
-        images.update(_images(rewritten, rel))
+    for picks, rows in _denial_matches(tbox, policy, abox):
+        images.update(_image_atoms(picks, rows))
     sizes = sorted(set(map(len, images)))
     return frozenset(
         s
@@ -372,6 +376,17 @@ def _denial_bodies(tbox: TBox, policy: Policy) -> tuple[tuple[ConjunctiveQuery, 
 
 
 @memo_on_abox
+def _denial_matches(
+    tbox: TBox, policy: Policy, abox: ABox
+) -> tuple[tuple[list[tuple[Atom, itemgetter]], Collection[tuple]], ...]:
+    """The matched rows of each denial rewriting over the closure's rows
+    (`_image_rows`), which both `secrets` and `hidden_rows` read, so that
+    the denials are joined once per ABox."""
+    rel = closure_rows(tbox, abox)
+    return tuple(_image_rows(body, rel) for body in _denial_bodies(tbox, policy)[0])
+
+
+@memo_on_abox
 def hidden_rows(
     tbox: TBox, policy: Policy, abox: ABox
 ) -> dict[tuple[str, int], Collection[tuple]]:
@@ -384,13 +399,10 @@ def hidden_rows(
     the rewritings, of the image rows of their atoms in that group, read
     from the matched rows (`_image_rows`) with no image built.  Otherwise
     they are the rows of the atoms of `secrets`."""
-    bodies, uniform = _denial_bodies(tbox, policy)
-    if not uniform:
+    if not _denial_bodies(tbox, policy)[1]:
         return _Relations(frozenset().union(*secrets(tbox, policy, abox))).groups
-    rel = closure_rows(tbox, abox)
     parts: dict[tuple[str, int], list[Collection[tuple]]] = {}
-    for body in bodies:
-        picks, rows = _image_rows(body, rel)
+    for picks, rows in _denial_matches(tbox, policy, abox):
         for a, pick in picks:
             parts.setdefault((a.predicate, a.arity), []).append(
                 rows if pick is _SAME else set(map(pick, rows))

@@ -23,7 +23,8 @@ variable-connected component at a time.  Verdicts probe the plan's last
 step, while images join it in full.  `_satisfiable` joins every part of a
 component but the last (`_join`) and probes the last one for a first
 witness (`_witness`), so it decides `eval_cq`, `chase_satisfies` and the
-`EXISTS` conjunctions of `eval_fo`, whose negated guards it checks on the
+`EXISTS` conjunctions of `eval_fo`, whose negated guards it reads once
+each component has a first candidate row (`_candidates`) and checks on the
 way.  `_components` joins every part (`_bound_rows`), for the matched rows
 behind `censors.hidden_rows` and the images behind `censors.secrets` and
 `ib`'s counter-censor search (both from `_image_rows`) and behind the
@@ -504,37 +505,56 @@ def _columns(v: tuple, out_vars: tuple) -> itemgetter:
 def _witness(v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple],
              negated: list[_Rows]) -> bool:
     """True iff some row of the natural join of two row sets lies in none of
-    the `negated` row sets, each over some of their variables.  The smaller
-    side is streamed through the larger one when they range over the same
-    variables, and indexed by the shared ones and probed otherwise; the
-    search stops at the first such row.  With nothing negated it is an
-    `isdisjoint`, which runs in C."""
+    the `negated` row sets, each over some of their variables.  With nothing
+    negated it is an `isdisjoint`, which runs in C; otherwise the join's
+    rows are streamed (`_candidates`) and the search stops at the first row
+    that survives."""
+    if negated:
+        return _survives(*_candidates(v1, r1, v2, r2), negated)
+    if len(r1) > len(r2):
+        v1, r1, v2, r2 = v2, r2, v1, r1
+    if len(v1) == len(v2) and set(v1) == set(v2):
+        return not r2.isdisjoint(r1 if v1 == v2 else map(_columns(v1, v2), r1))
+    shared = tuple(x for x in v2 if x in v1)
+    return not set(map(_columns(v1, shared), r1)).isdisjoint(map(_columns(v2, shared), r2))
+
+
+def _candidates(
+    v1: tuple, r1: AbstractSet[tuple], v2: tuple, r2: AbstractSet[tuple]
+) -> tuple[tuple, Iterator[tuple]]:
+    """The rows of the natural join of two row sets, as a stream, and their
+    variables.  The smaller side is streamed through the larger one when
+    they range over the same variables, and indexed by the shared ones and
+    probed otherwise."""
     if len(r1) > len(r2):
         v1, r1, v2, r2 = v2, r2, v1, r1
     if len(v1) == len(v2) and set(v1) == set(v2):
         rows = r1 if v1 == v2 else map(_columns(v1, v2), r1)
-        if not negated:
-            return not r2.isdisjoint(rows)
-        out_vars, found = v2, filter(r2.__contains__, rows)
-    else:
-        shared = tuple(x for x in v2 if x in v1)
-        key1, key2 = _columns(v1, shared), _columns(v2, shared)
-        if not negated:
-            return not set(map(key1, r1)).isdisjoint(map(key2, r2))
-        index: dict[tuple, list[tuple]] = {}
-        for r in r1:
-            index.setdefault(key1(r), []).append(r)
-        rest = tuple(x for x in v2 if x not in v1)
-        tail = _columns(v2, rest)
-        out_vars = v1 + rest
-        found = (head + tail(r) for r in r2 for head in index.get(key2(r), ()))
-    return _survives(out_vars, found, negated)
+        return v2, filter(r2.__contains__, rows)
+    shared = tuple(x for x in v2 if x in v1)
+    key1, key2 = _columns(v1, shared), _columns(v2, shared)
+    index: dict[tuple, list[tuple]] = {}
+    for r in r1:
+        index.setdefault(key1(r), []).append(r)
+    rest = tuple(x for x in v2 if x not in v1)
+    tail = _columns(v2, rest)
+    return v1 + rest, (head + tail(r) for r in r2 for head in index.get(key2(r), ()))
 
 
 def _survives(v: tuple, rows: Iterable[tuple], negated: list[_Rows]) -> bool:
     """True iff some row over `v` lies in none of the `negated` row sets."""
     checks = [(_columns(v, nv), nrows) for nv, nrows in negated]
     return any(all(pick(r) not in nrows for pick, nrows in checks) for r in rows)
+
+
+def _joined(parts: list[_Rows]) -> Optional[_Rows]:
+    """The join of `parts` in their order, or None once it is empty."""
+    (v, rows), *rest = parts
+    for part in rest:
+        v, rows = _join(v, rows, *part)
+        if not rows:
+            return None
+    return v, rows
 
 
 def _satisfiable(parts: Iterable[_Rows], negated: Iterable[_Rows] = ()) -> bool:
@@ -545,38 +565,51 @@ def _satisfiable(parts: Iterable[_Rows], negated: Iterable[_Rows] = ()) -> bool:
     It follows `_plan`: each component joins every part but its last with
     `_join`, and probes the last one (`_witness`) instead of joining it,
     which is exact for any body, cyclic or not.  The components are decided
-    one at a time, never multiplied, and the first empty one answers False;
-    only components that one negated set spans are decided together, through
-    their product.  A negated part that is a positive part's own row set over
-    the same variable tuple empties the conjunction at once."""
+    one at a time, never multiplied, and the first empty one answers False.
+    `negated` may be an iterator, and it is read only once each component
+    has its first candidate row, so a join with no row reads none of it.
+    Only components that one negated set spans are then decided together,
+    through their product.  A negated part that is a positive part's own
+    row set over the same variable tuple empties the conjunction at once."""
     plan = _plan(parts)
     if plan is None:
         return False
-    negated = [n for n in negated if n[1]]
-    by_component: list[list[_Rows]] = [[] for _ in plan]
-    if negated:
-        positives = [p for component in plan for p in component]
-        for nv, nrows in negated:
-            if not nv or any(nrows is rows and nv == v for v, rows in positives):
-                return False
-        owner = {x: i for i, component in enumerate(plan) for v, _ in component for x in v}
-        if any(len({owner[x] for x in nv}) > 1 for nv, _ in negated):
-            plan, by_component, owner = [positives], [[]], dict.fromkeys(owner, 0)
-        for n in negated:
-            by_component[owner[n[0][0]]].append(n)
-    for (*head, (v2, r2)), excluded in zip(plan, by_component):
+    streams: list[tuple[tuple, Iterable[tuple]]] = []  # each component's candidates
+    for *head, (v2, r2) in plan:
         if not head:
-            if excluded and not _survives(v2, r2, excluded):
+            streams.append((v2, r2))
+            continue
+        joined = _joined(head)
+        if joined is None:
+            return False
+        if not negated:
+            if not _witness(*joined, v2, r2, []):
                 return False
             continue
-        (v1, r1), *rest = head
-        for part in rest:
-            v1, r1 = _join(v1, r1, *part)
-            if not r1:
-                return False
-        if not _witness(v1, r1, v2, r2, excluded):
+        out_vars, rows = _candidates(*joined, v2, r2)
+        first = next(rows, None)
+        if first is None:
             return False
-    return True
+        streams.append((out_vars, chain((first,), rows)))
+    negated = [n for n in negated if n[1]]
+    if not negated:
+        return True
+    positives = [p for component in plan for p in component]
+    for nv, nrows in negated:
+        if not nv or any(nrows is rows and nv == v for v, rows in positives):
+            return False
+    owner = {x: i for i, component in enumerate(plan) for v, _ in component for x in v}
+    if any(len({owner[x] for x in nv}) > 1 for nv, _ in negated):
+        joined = _joined(positives[:-1])
+        return joined is not None and _witness(*joined, *positives[-1], negated)
+    by_component: list[list[_Rows]] = [[] for _ in plan]
+    for n in negated:
+        by_component[owner[n[0][0]]].append(n)
+    return all(
+        _survives(v, rows, excluded)
+        for (v, rows), excluded in zip(streams, by_component)
+        if excluded
+    )
 
 
 def _bound_rows(atoms: Iterable[Atom], rel: _Relations) -> tuple[list[Term], Iterable[tuple]]:
@@ -627,10 +660,16 @@ def _image_rows(
 
 
 def _images(body: ConjunctiveQuery, rel: _Relations) -> Iterator[frozenset[Atom]]:
-    """The image of `body` under each of its homomorphisms into `rel`, its
-    atoms built from `_image_rows` in C, unchecked: their predicates are the
-    body's and their args come from `rel`'s rows and the body."""
-    picks, rows = _image_rows(body, rel)
+    """The image of `body` under each of its homomorphisms into `rel`."""
+    return _image_atoms(*_image_rows(body, rel))
+
+
+def _image_atoms(
+    picks: list[tuple[Atom, itemgetter]], rows: Collection[tuple]
+) -> Iterator[frozenset[Atom]]:
+    """The images that `_image_rows`' picks and rows stand for, their atoms
+    built in C, unchecked: their predicates are the body's and their args
+    come from the rows."""
     image_atoms = [
         map(unchecked_atom, zip(repeat(a.predicate), map(pick, rows))) for a, pick in picks
     ]

@@ -21,11 +21,18 @@ guard binds.  That is safe: the witness is bound around one atom only, and
 it skips a name equal to that atom's own term.
 
 The composed sentence depends on the query, the TBox and the policy but
-never on the data, so `qib_rewrite_report` compiles it once per (query,
-TBox, policy) into a bounded cache of 1024 entries, and `qib_rewrite` reads
-the same cache.  `eval_fo` keeps the free variables of the node it is handed
-on that node, so a cached sentence is checked to be a sentence by one walk,
-not one per evaluation.
+never on the data, and a TBox has no constants, so renaming the constants of
+the query and the policy only renames those of the sentence.
+`qib_rewrite_report` keeps each sentence per (query, TBox, policy) in a
+bounded cache of 1024 entries, which `qib_rewrite` reads too.  On a miss it
+replaces every constant with a placeholder that sorts as the constant did
+(`_placeholders`), compiles the renamed inputs once per such shape into a
+second bounded cache of 1024 entries (`_compile`), and puts the caller's
+constants back (`_with_constants`), so the bytes are those of a direct
+compile.  Inputs whose names break the parser's convention (constants
+lowercase, variables uppercase) are compiled as they are.  `eval_fo` keeps
+the free variables of the node it is handed on that node, so a cached
+sentence is checked to be a sentence by one walk, not one per evaluation.
 
 The repair guards deserve a note.  An atom is unsafe iff it lies in some
 *minimal* violating subset, and a naive "some rewritten denial body matches
@@ -51,6 +58,7 @@ from .model import (
     Atom,
     AtomNode,
     ConjunctiveQuery,
+    Denial,
     Eq,
     Exists,
     FONode,
@@ -62,11 +70,13 @@ from .model import (
     Term,
     Truth,
     atomic,
+    const,
     fo_and,
     fo_exists,
     fo_or,
     free_variables,
     node_count,
+    unchecked_atom,
     var,
 )
 from .reasoner import (
@@ -159,9 +169,11 @@ class _Evaluator:
     def _and_truth(self, prefix: list[Term], body: And) -> bool:
         """Truth of EXISTS prefix (positives AND NOT guards).  The positive
         conjuncts are read first, up to the first empty one, and the guards
-        after them.  When the positives bind every prefix and guard variable,
-        `reasoner._satisfiable` probes for the first witness; otherwise the
-        rows already read are joined (`_and_rows`)."""
+        only once the positives have a row.  The body's free variables are
+        all in the prefix, so when the positives bind every prefix variable
+        they bind every guard variable too, and `reasoner._satisfiable`
+        probes for the first witness; otherwise the rows already read are
+        joined (`_and_rows`)."""
         positives: list[_Rows] = []
         for c in body.children:
             if not isinstance(c, Not):
@@ -169,9 +181,13 @@ class _Evaluator:
                 if not part[1]:
                     return False
                 positives.append(part)
-        guards = [self.rows(c.body) for c in body.children if isinstance(c, Not)]
+        negated = [c.body for c in body.children if isinstance(c, Not)]
+        atoms = {c.atom for c in body.children if isinstance(c, AtomNode)}
+        if any(isinstance(g, AtomNode) and g.atom in atoms for g in negated):
+            return False  # a guard that negates a positive atom
+        guards = map(self.rows, negated)
         bound = {x for v, _ in positives for x in v}
-        if all(x in bound for x in prefix) and all(x in bound for v, _ in guards for x in v):
+        if all(x in bound for x in prefix):
             return _satisfiable(positives, guards)
         v, rws = self._and_rows(positives, guards)
         # a prefix variable the rows leave out ranges over the active domain
@@ -551,16 +567,85 @@ def qib_rewrite_report(
     q: ConjunctiveQuery, tbox: TBox, policy: Policy
 ) -> tuple[FONode, RewritingReport]:
     """`qib_rewrite` plus size accounting for the reformulation.  Neither
-    depends on any ABox, so the pair is compiled once per (query, TBox,
-    policy) and kept in a bounded cache, as `_conflict_patterns` is."""
+    depends on any ABox, so the pair is kept per (query, TBox, policy) in a
+    bounded cache, as `_conflict_patterns` is.  On a miss the sentence is
+    compiled once per shape (`_compile`, see `_placeholders`), and the
+    caller's constants are put back into it."""
     from .parser import serialize_query
 
-    iar_node, pr_size, guard_count = _build_iar(q, tbox, policy)
-    node = atom_rewr(iar_node, tbox)
+    names = _placeholders(q, policy)
+    if not names:
+        node, pr_size, guard_count, size = _compile(q, tbox, policy)
+    else:
+        template, pr_size, guard_count, size = _compile(
+            ConjunctiveQuery(_renamed(q.atoms, names)),
+            tbox,
+            Policy(frozenset(Denial(_renamed(d.body, names)) for d in policy.denials)),
+        )
+        node = _with_constants(template, {k: c for c, k in names.items()})
     report = RewritingReport(
         input_query=serialize_query(q).strip(),
         perfect_ref_size=pr_size,
         guard_count=guard_count,
-        node_count=node_count(node),
+        node_count=size,
     )
     return node, report
+
+
+@lru_cache(maxsize=1024)
+def _compile(q: ConjunctiveQuery, tbox: TBox, policy: Policy) -> tuple[FONode, int, int, int]:
+    """The composed sentence, with the number of rewritings of `q`, of
+    guards and of nodes."""
+    iar_node, pr_size, guard_count = _build_iar(q, tbox, policy)
+    node = atom_rewr(iar_node, tbox)
+    return node, pr_size, guard_count, node_count(node)
+
+
+def _placeholders(q: ConjunctiveQuery, policy: Policy) -> Optional[dict[Term, Term]]:
+    """The placeholder of each constant of the query and the policy, or None
+    when their names break the parser's convention, in which case the inputs
+    are compiled as they are.
+
+    A TBox has no constants, so renaming the constants of the query and the
+    policy only renames those of the sentence.  The constant of rank i in
+    sorted order becomes k<i>, zero-padded, so the placeholders sort as the
+    originals do.  `atom_order_key` compares names across kinds, and only
+    when every constant name starts lowercase and every variable name
+    uppercase does that keep every comparison the compile makes; parsed
+    input always does."""
+    terms = {t for a in q.atoms for t in a.args}
+    terms.update(t for d in policy.denials for a in d.body for t in a.args)
+    if not all(t.name[0].islower() if t.is_const else t.name[0].isupper() for t in terms):
+        return None
+    consts = sorted(t for t in terms if t.is_const)
+    width = len(str(len(consts) - 1))
+    return {c: const(f"k{i:0{width}}") for i, c in enumerate(consts)}
+
+
+def _renamed(atoms: frozenset[Atom], names: dict[Term, Term]) -> frozenset[Atom]:
+    return frozenset(
+        unchecked_atom((a.predicate, tuple(names.get(t, t) for t in a.args))) for a in atoms
+    )
+
+
+def _with_constants(node: FONode, names: dict[Term, Term]) -> FONode:
+    """`node` with each constant renamed through `names`, its children in
+    the same order; a subtree with no constant to rename is shared."""
+    if isinstance(node, AtomNode):
+        args = node.atom.args
+        new = tuple(names.get(t, t) for t in args)
+        return node if new == args else AtomNode(unchecked_atom((node.atom.predicate, new)))
+    if isinstance(node, (And, Or)):
+        children = tuple(_with_constants(c, names) for c in node.children)
+        same = all(a is b for a, b in zip(children, node.children))
+        return node if same else type(node)(children)
+    if isinstance(node, Exists):
+        body = _with_constants(node.body, names)
+        return node if body is node.body else Exists(node.variable, body)
+    if isinstance(node, Not):
+        body = _with_constants(node.body, names)
+        return node if body is node.body else Not(body)
+    if isinstance(node, Eq):
+        left, right = names.get(node.left, node.left), names.get(node.right, node.right)
+        return node if (left, right) == (node.left, node.right) else Eq(left, right)
+    return node

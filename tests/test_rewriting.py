@@ -6,6 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 from cqelite import (
     ABox,
     Atom,
+    ConjunctiveQuery,
+    Denial,
+    Policy,
     UnboundVariableError,
     abox_closure,
     atom_rewr,
@@ -39,7 +42,8 @@ from cqelite.model import (
 )
 from cqelite import reasoner, rewriting
 from cqelite.rewriting import _Evaluator
-from cqelite.gen import random_bcq, random_fo_sentence, random_instance
+from cqelite.gen import CONST_POOL, random_bcq, random_fo_sentence, random_instance
+from cqelite.parser import serialize_query
 
 from conftest import q
 
@@ -249,6 +253,25 @@ def test_eval_fo_ground_atoms_read_the_stored_rows():
     assert evaluator.truth(node)
     assert not evaluator.truth(A("ProjB", a))
     assert not evaluator.truth(A("R", a, a))
+
+
+def test_guards_are_read_once_the_positives_have_a_row(monkeypatch):
+    rows = _Evaluator.rows
+    read = []
+
+    def counting(self, node):
+        read.append(node)
+        return rows(self, node)
+
+    monkeypatch.setattr(_Evaluator, "rows", counting)
+    guard = Exists(Y, A("C", X, Y))
+    node = Exists(X, Exists(Y, And((A("A", X), A("R", X, Y), Not(guard)))))
+    # both positives have rows, but their join has none
+    assert not eval_fo(node, parse_abox("A(a)\nR(b,c)\nC(a,a)"))
+    assert guard not in read
+    assert eval_fo(node, parse_abox("A(a)\nR(a,c)\nC(b,b)"))
+    assert guard in read
+    assert not eval_fo(node, parse_abox("A(a)\nR(a,c)\nC(a,b)"))
 
 
 def test_eval_fo_disjoint_disjuncts_are_never_spread(monkeypatch):
@@ -530,6 +553,7 @@ def test_a_fresh_compile_gives_the_same_sentence_and_report(supplier_tbox, suppl
     query = q("Supplier(X), ProjA(X)")
     cached_node, cached_report = qib_rewrite_report(query, supplier_tbox, supplier_policy)
     qib_rewrite_report.cache_clear()
+    rewriting._compile.cache_clear()
     node, report = qib_rewrite_report(query, supplier_tbox, supplier_policy)
     assert node is not cached_node
     assert serialize_fo(node).encode() == serialize_fo(cached_node).encode()
@@ -571,3 +595,87 @@ def test_cached_sentences_agree_with_qib_on_distinct_aboxes():
     assert (after.hits, after.misses) == (info.hits + len(cases), info.misses)
     smaller = one_pass([ABox.of(a.sorted_atoms()[1:]) for a in originals])
     assert all(fo == semantic for fo, semantic in smaller)
+
+
+# --- one compile per shape --------------------------------------------------------
+
+
+def _uncached(query, t, p):
+    """The sentence and report of a direct compile, through no cache."""
+    iar_node, pr_size, guard_count = rewriting._build_iar(query, t, p)
+    node = atom_rewr(iar_node, t)
+    report = rewriting.RewritingReport(
+        serialize_query(query).strip(), pr_size, guard_count, node_count(node)
+    )
+    return serialize_fo(node).encode(), report
+
+
+def _renamed(atoms, names):
+    return frozenset(
+        Atom(a.predicate, tuple(names.get(t, t) for t in a.args)) for a in atoms
+    )
+
+
+def test_renamed_constants_compile_to_the_uncached_sentence():
+    """Each instance of the qib-fo agreement draw, under three injective
+    renamings of its constants: permutations, and suffixes such as r9 and
+    r10 that reorder names, since the template keeps only their order."""
+    rng = random.Random(40_000)
+    renaming = random.Random(24)
+    mismatches = []
+    for seed in range(40_000, 40_300):
+        t, p, _ = random_instance(seed, n_atoms=8, n_consts=3)
+        query = random_bcq(rng, t)
+        atoms = list(query.atoms) + [a for d in p.denials for a in d.body]
+        consts = sorted({x for a in atoms for x in a.args if x.is_const})
+        for _ in range(3):
+            bases = renaming.sample(CONST_POOL, len(consts))
+            suffixes = renaming.sample(["", "r9", "r10", "x", "k0"], len(consts))
+            names = {c: const(b + s) for c, b, s in zip(consts, bases, suffixes)}
+            q2 = ConjunctiveQuery(_renamed(query.atoms, names))
+            p2 = Policy.of(Denial(_renamed(d.body, names)) for d in p.denials)
+            node, report = qib_rewrite_report(q2, t, p2)
+            if (serialize_fo(node).encode(), report) != _uncached(q2, t, p2):
+                mismatches.append((seed, names))
+    assert mismatches == []
+
+
+def test_a_renamed_query_and_policy_compile_once(supplier_tbox):
+    rewriting._compile.cache_clear()
+    qib_rewrite_report.cache_clear()
+    policy = parse_policy("denial :- ProjA(c), ProjB(X)")
+    qib_rewrite_report(q("Supplier(d), ProjA(X)"), supplier_tbox, policy)
+    assert rewriting._compile.cache_info()[:2] == (0, 1)
+    renamed_query = q("Supplier(f), ProjA(X)")
+    renamed_policy = parse_policy("denial :- ProjA(e), ProjB(X)")
+    node, report = qib_rewrite_report(renamed_query, supplier_tbox, renamed_policy)
+    assert rewriting._compile.cache_info()[:2] == (1, 1)
+    assert qib_rewrite_report.cache_info()[:2] == (0, 2)
+    assert (serialize_fo(node).encode(), report) == _uncached(
+        renamed_query, supplier_tbox, renamed_policy
+    )
+
+
+def test_eleven_placeholders_sort_as_their_constants(supplier_tbox, supplier_policy):
+    # k00 ... k10: without the zero padding k10 would sort before k2
+    query = q(", ".join(f"C({c}), R({c},X)" for c in "abcdefghijk"))
+    node, report = qib_rewrite_report(query, supplier_tbox, supplier_policy)
+    assert (serialize_fo(node).encode(), report) == _uncached(query, supplier_tbox, supplier_policy)
+
+
+@pytest.mark.parametrize(
+    "atoms",
+    [
+        # an uppercase constant sorts before a variable's name
+        [Atom("R", (const("Bob"), Y)), Atom("R", (Y, const("Bob")))],
+        # a lowercase variable name, refused by the same check
+        [Atom("R", (var("x"), const("z"))), Atom("R", (const("z"), var("x")))],
+    ],
+    ids=["uppercase-constant", "lowercase-variable"],
+)
+def test_names_outside_the_convention_compile_as_they_are(atoms):
+    t = parse_tbox("role S [= R")
+    p = parse_policy("denial :- R(X,Y), R(Y,X)")
+    query = ConjunctiveQuery(frozenset(atoms))
+    node, report = qib_rewrite_report(query, t, p)
+    assert (serialize_fo(node).encode(), report) == _uncached(query, t, p)

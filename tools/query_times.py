@@ -5,15 +5,20 @@
 
 Both modes build the benchmark's instances for seed 1 (`bench/workloads.py`)
 from this checkout and make each request as `cqelite entail` makes it
-(`workloads.answer`).  A `qib-fo` request is shown as its steps.  `qib-fo
-compile` is `qib_rewrite_report` with its sentence cache emptied before
-each timed call, so it builds the sentence; the caches it reads
-(`perfect_ref`, `_conflict_patterns`) stay as warm as the request left them.
-`qib-fo cached` is the same call when the sentence is in the cache, which is
-what a repeated request pays, and `qib-fo eval` is `eval_fo` of that
-sentence over the ABox.  A request is `qib-fo eval` plus `qib-fo cached`
-when its (query, TBox, policy) was seen before, and plus `qib-fo compile`
-when it was not.
+(`workloads.answer`).  A `qib-fo` request is shown as its steps.
+`qib_rewrite_report` keeps each sentence per (query, TBox, policy), and
+compiles it on a miss once per shape, up to the names of the constants,
+into a second cache (`rewriting._compile`).  `qib-fo compile` is
+`qib_rewrite_report` with both caches emptied before each timed call, so it
+builds the sentence; the caches it reads (`perfect_ref`,
+`_conflict_patterns`) stay as warm as the request left them.  `qib-fo
+renamed` empties the first cache only, so it puts the caller's constants
+back into the kept shape, which is what a request pays whose query and
+policy were seen before under other constant names.  `qib-fo cached` is the
+same call when the sentence is in the first cache, which is what a repeated
+request pays, and `qib-fo eval` is `eval_fo` of that sentence over the ABox.
+A request is `qib-fo eval` plus one of `qib-fo cached`, `qib-fo renamed`
+and `qib-fo compile`.
 
 `supplier` (the default) loads the `Supplier` instance, answers each of its
 four queries once under `certain`, `qib` and `qib-fo` so that the ABox's
@@ -60,13 +65,24 @@ def median_ms(call, setup=None) -> float:
     return statistics.median(elapsed_ms(call, setup) for _ in range(CALLS))
 
 
+def compile_cold(cq):
+    """Empties both sentence caches, so the next call compiles."""
+
+    def clear() -> None:
+        cq.qib_rewrite_report.cache_clear()
+        cq.rewriting._compile.cache_clear()
+
+    return clear
+
+
 def supplier(workloads) -> None:
     cq = workloads.cq
     w = workloads.Supplier(SEED, fault=False)
     w.adopt(w.load(w.texts(0)))
     semantics = [s for s in workloads.SUPPLIER_SEMANTICS if s != "qib-fo"]
-    columns = semantics + ["qib-fo compile", "qib-fo cached", "qib-fo eval"]
+    columns = semantics + ["qib-fo compile", "qib-fo renamed", "qib-fo cached", "qib-fo eval"]
     rewrite = cq.qib_rewrite_report
+    cold = compile_cold(cq)
     print(f"supplier-read seed {SEED}: median ms of {CALLS} calls on the warm ABox")
     print(f"{'query':<24}" + "".join(f"{c:>16}" for c in columns))
     for (qid, _), q in zip(w.queries, w.qs):
@@ -75,6 +91,7 @@ def supplier(workloads) -> None:
         node, _report = rewrite(q, w.tbox, w.policy)
         calls = [(partial(workloads.answer, s, w.tbox, w.policy, w.abox, q), None) for s in semantics]
         calls += [
+            (partial(rewrite, q, w.tbox, w.policy), cold),
             (partial(rewrite, q, w.tbox, w.policy), rewrite.cache_clear),
             (partial(rewrite, q, w.tbox, w.policy), None),
             (partial(cq.eval_fo, node, w.abox), None),
@@ -85,8 +102,11 @@ def supplier(workloads) -> None:
 def censor(workloads) -> None:
     cq = workloads.cq
     w = workloads.Censor(SEED, fault=False)
-    columns = ["certain", "qib", "qib-fo compile", "qib-fo cached", "qib-fo eval", "ib"]
+    columns = [
+        "certain", "qib", "qib-fo compile", "qib-fo renamed", "qib-fo cached", "qib-fo eval", "ib"
+    ]
     rewrite = cq.qib_rewrite_report
+    setups = {"qib-fo compile": compile_cold(cq), "qib-fo renamed": rewrite.cache_clear}
 
     def one_round(suffix: str) -> dict[str, list[float]]:
         names = {c: n + suffix for c, n in w.letters.items()}
@@ -100,13 +120,13 @@ def censor(workloads) -> None:
                 "certain": partial(workloads.answer, "certain", t, p, a, q),
                 "qib": partial(workloads.answer, "qib", t, p, a, q),
                 "qib-fo compile": lambda: compiled.append(rewrite(q, t, p)[0]),
+                "qib-fo renamed": partial(rewrite, q, t, p),
                 "qib-fo cached": partial(rewrite, q, t, p),
                 "qib-fo eval": lambda: cq.eval_fo(compiled[0], a),
                 "ib": partial(workloads.answer, "ib", t, p, a, q),
             }
             for c in columns:
-                setup = rewrite.cache_clear if c == "qib-fo compile" else None
-                times[c].append(elapsed_ms(calls[c], setup))
+                times[c].append(elapsed_ms(calls[c], setups.get(c)))
         return times
 
     one_round("w")
