@@ -567,10 +567,10 @@ def _satisfiable(parts: Iterable[_Rows], negated: Iterable[_Rows] = ()) -> bool:
     which is exact for any body, cyclic or not.  The components are decided
     one at a time, never multiplied, and the first empty one answers False.
     `negated` may be an iterator, and it is read only once each component
-    has its first candidate row, so a join with no row reads none of it.
-    Only components that one negated set spans are then decided together,
-    through their product.  A negated part that is a positive part's own
-    row set over the same variable tuple empties the conjunction at once."""
+    has its first candidate row, so a join with no row reads none of it;
+    an empty `negated` is passed as an empty collection, so that each
+    component is an `isdisjoint` (`_witness`).  Only components that one negated set spans are then decided together,
+    through their product."""
     plan = _plan(parts)
     if plan is None:
         return False
@@ -594,12 +594,11 @@ def _satisfiable(parts: Iterable[_Rows], negated: Iterable[_Rows] = ()) -> bool:
     negated = [n for n in negated if n[1]]
     if not negated:
         return True
-    positives = [p for component in plan for p in component]
-    for nv, nrows in negated:
-        if not nv or any(nrows is rows and nv == v for v, rows in positives):
-            return False
+    if any(not nv for nv, _ in negated):
+        return False
     owner = {x: i for i, component in enumerate(plan) for v, _ in component for x in v}
     if any(len({owner[x] for x in nv}) > 1 for nv, _ in negated):
+        positives = [p for component in plan for p in component]
         joined = _joined(positives[:-1])
         return joined is not None and _witness(*joined, *positives[-1], negated)
     by_component: list[list[_Rows]] = [[] for _ in plan]

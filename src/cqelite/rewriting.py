@@ -185,7 +185,7 @@ class _Evaluator:
         atoms = {c.atom for c in body.children if isinstance(c, AtomNode)}
         if any(isinstance(g, AtomNode) and g.atom in atoms for g in negated):
             return False  # a guard that negates a positive atom
-        guards = map(self.rows, negated)
+        guards = map(self.rows, negated) if negated else ()
         bound = {x for v, _ in positives for x in v}
         if all(x in bound for x in prefix):
             return _satisfiable(positives, guards)
